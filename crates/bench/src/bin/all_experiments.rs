@@ -1,61 +1,26 @@
-//! Runs every experiment binary in sequence, mirroring the paper's
-//! evaluation section end to end. Equivalent to running each `table*` /
-//! `figure*` binary yourself; see DESIGN.md §3 for the index.
+//! Runs every experiment of the paper's evaluation in one process, in
+//! registry order (`mascot_bench::experiments::REGISTRY`; DESIGN.md §3),
+//! printing each under a `######## name ########` header. Its output is
+//! what running each `table*` / `figure*` binary in turn prints, but a
+//! cell several experiments need is simulated only once.
 //!
-//! `--sampled` runs the whole sweep in cluster-and-project mode: every
-//! child is launched with `MASCOT_SAMPLED=1`, so each (benchmark,
-//! predictor, core) cell is projected from representative intervals
-//! (DESIGN.md §13) instead of simulated end to end. Useful for a fast
-//! smoke pass over the full evaluation; headline numbers should still
-//! come from the default full-trace run.
+//! `all_experiments [--sampled]`: `--sampled` projects every (benchmark,
+//! predictor, core) cell from representative intervals (DESIGN.md §13)
+//! instead of simulating it end to end. Useful for a fast smoke pass over
+//! the full evaluation; headline numbers should still come from the
+//! default full-trace run.
 
-use std::process::Command;
+use mascot_bench::experiments;
 
 fn main() {
-    let mut sampled = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--sampled" => sampled = true,
-            other => {
-                eprintln!("unknown argument `{other}`; usage: all_experiments [--sampled]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("binary directory");
-    let experiments = [
-        "table01",
-        "table02",
-        "counter_decay",
-        "figure02",
-        "figure07",
-        "figure08",
-        "figure09",
-        "figure10",
-        "figure11",
-        "figure12",
-        "figure13",
-        "figure14",
-        "figure15",
-        "ablations",
-        "window_sweep",
-        "bottleneck",
-    ];
-    if sampled {
+    let eval = experiments::evaluation_from_args("all_experiments");
+    if eval.sampled {
         println!("sampled mode: projecting every cell from representative intervals");
     }
     let started = std::time::Instant::now();
-    for name in experiments {
+    for (name, run) in experiments::REGISTRY {
         println!("\n######## {name} ########\n");
-        let mut command = Command::new(dir.join(name));
-        if sampled {
-            command.env("MASCOT_SAMPLED", "1");
-        }
-        let status = command
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
-        assert!(status.success(), "{name} failed with {status}");
+        run(&eval);
     }
     println!("\nall experiments completed in {:?}", started.elapsed());
 }

@@ -5,9 +5,11 @@
 //! explore [key=value ...]
 //!
 //!   bench=perlbench2          benchmark profile (see `--list`)
-//!   pred=mascot               mascot | mascot-mdp | mascot-opt | mascot-opt-tagN |
-//!                             tage-no-nd | phast | nosq | mdp-tage | store-sets |
-//!                             perfect-mdp | perfect-mdp-smb
+//!   pred=mascot               a `PredictorKind` label (`--help` prints them
+//!                             from `PredictorKind::ALL`): mascot | mascot-mdp |
+//!                             mascot-opt | tage-no-nd | phast | nosq | mdp-tage |
+//!                             store-sets | perfect-mdp | perfect-mdp-smb |
+//!                             randomized-mascot | mascot-opt-tag-N
 //!   core=golden-cove          golden-cove | lion-cove
 //!   uops=150000               trace length
 //!   seed=2025                 generation seed
@@ -22,25 +24,6 @@ use mascot_bench::{run_one, PredictorKind, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn parse_kind(s: &str) -> Option<PredictorKind> {
-    Some(match s {
-        "mascot" => PredictorKind::Mascot,
-        "mascot-mdp" => PredictorKind::MascotMdp,
-        "mascot-opt" => PredictorKind::MascotOpt(0),
-        "tage-no-nd" => PredictorKind::TageNoNd,
-        "phast" => PredictorKind::Phast,
-        "nosq" => PredictorKind::NoSq,
-        "mdp-tage" => PredictorKind::MdpTage,
-        "store-sets" => PredictorKind::StoreSets,
-        "perfect-mdp" => PredictorKind::PerfectMdp,
-        "perfect-mdp-smb" => PredictorKind::PerfectMdpSmb,
-        other => {
-            let n = other.strip_prefix("mascot-opt-tag")?.parse().ok()?;
-            PredictorKind::MascotOpt(n)
-        }
-    })
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\nrun with --help for usage");
     std::process::exit(1);
@@ -52,6 +35,8 @@ fn main() {
         println!("usage: explore [bench=NAME] [pred=KIND] [core=NAME] [uops=N] [seed=N]");
         println!("               [rob=N] [iq=N] [lq=N] [sb=N] [l1d=N] [mem=N] [drain=N]");
         println!("       explore --list   # available benchmarks");
+        let kinds: Vec<_> = PredictorKind::ALL.iter().map(|k| k.label()).collect();
+        println!("KIND: {}, mascot-opt-tag-N", kinds.join(", "));
         return;
     }
     if args.iter().any(|a| a == "--list") {
@@ -78,8 +63,7 @@ fn main() {
         match key {
             "bench" => bench = value.to_string(),
             "pred" => {
-                kind = parse_kind(value)
-                    .unwrap_or_else(|| fail(&format!("unknown predictor {value:?}")));
+                kind = value.parse().unwrap_or_else(|e| fail(&format!("{e}")));
             }
             "core" => {
                 core = match value {

@@ -1,67 +1,4 @@
-//! Fig. 2: percentage of loads with a dependence on an in-flight prior
-//! store, split by bypass class.
-//!
-//! Runs every benchmark under the perfect-MDP predictor (the census does not
-//! depend on the predictor; perfect MDP avoids squash noise) and prints the
-//! per-class fractions of committed loads.
-
-use mascot::BypassClass;
-use mascot_bench::{run_suite, table::frac_pct, trace_uops_from_env, PredictorKind, TextTable};
-use mascot_sim::CoreConfig;
-use mascot_workloads::spec;
-
+//! Fig. 2: loads with an in-flight store dependence, by bypass class.
 fn main() {
-    let profiles = spec::all_profiles();
-    let results = run_suite(
-        &profiles,
-        &[PredictorKind::PerfectMdp],
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
-    let mut t = TextTable::new([
-        "benchmark",
-        "DirectBypass",
-        "NoOffset",
-        "Offset",
-        "MDP only",
-        "any dependence",
-    ]);
-    let mut sums = [0.0f64; 5];
-    for r in &results {
-        let s = &r.stats;
-        let cols = [
-            s.class_fraction(BypassClass::DirectBypass),
-            s.class_fraction(BypassClass::NoOffset),
-            s.class_fraction(BypassClass::Offset),
-            s.class_fraction(BypassClass::MdpOnly),
-            s.dependent_load_fraction(),
-        ];
-        for (acc, v) in sums.iter_mut().zip(cols) {
-            *acc += v;
-        }
-        t.row([
-            r.benchmark.clone(),
-            frac_pct(cols[0]),
-            frac_pct(cols[1]),
-            frac_pct(cols[2]),
-            frac_pct(cols[3]),
-            frac_pct(cols[4]),
-        ]);
-    }
-    let n = results.len() as f64;
-    t.row([
-        "MEAN".to_string(),
-        frac_pct(sums[0] / n),
-        frac_pct(sums[1] / n),
-        frac_pct(sums[2] / n),
-        frac_pct(sums[3] / n),
-        frac_pct(sums[4] / n),
-    ]);
-    println!("== Fig. 2 — loads with an in-flight store dependence, by class ==");
-    println!("{}", t.render());
-    println!(
-        "paper shape: perlbench/lbm ~40% bypassable loads, bwaves/wrf ~5%; \
-         the DirectBypass case dominates everywhere"
-    );
+    mascot_bench::experiments::main("figure02");
 }

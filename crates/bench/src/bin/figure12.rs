@@ -1,43 +1,4 @@
-//! Fig. 12: MASCOT and the perfect MDP+SMB ceiling on Golden Cove vs Lion
-//! Cove, each normalised to that architecture's perfect MDP.
-//!
-//! Paper headline: the SMB ceiling grows from +2.1 % (Golden Cove) to
-//! +2.8 % (Lion Cove); MASCOT's gain grows from +1.0 % to +1.3 %.
-
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, run_suite, table::pct, trace_uops_from_env,
-    PredictorKind, TextTable,
-};
-use mascot_sim::CoreConfig;
-use mascot_workloads::spec;
-
+//! Fig. 12: SMB opportunity on Golden Cove vs Lion Cove.
 fn main() {
-    let profiles = spec::all_profiles();
-    let kinds = [
-        PredictorKind::PerfectMdp,
-        PredictorKind::Mascot,
-        PredictorKind::PerfectMdpSmb,
-    ];
-    let mut t = TextTable::new(["core", "mascot vs perfect MDP", "perfect MDP+SMB vs perfect MDP"]);
-    for core in [CoreConfig::golden_cove(), CoreConfig::lion_cove()] {
-        let results = run_suite(
-            &profiles,
-            &kinds,
-            &core,
-            trace_uops_from_env(),
-            mascot_bench::DEFAULT_SEED,
-        );
-        let benches = benchmarks(&results);
-        let mascot = geomean_normalized_ipc(&results, &benches, "mascot", "perfect-mdp").unwrap();
-        let ceiling =
-            geomean_normalized_ipc(&results, &benches, "perfect-mdp-smb", "perfect-mdp").unwrap();
-        t.row([
-            core.name.clone(),
-            pct((mascot - 1.0) * 100.0),
-            pct((ceiling - 1.0) * 100.0),
-        ]);
-    }
-    println!("== Fig. 12 — SMB opportunity across core generations ==");
-    println!("{}", t.render());
-    println!("paper: ceiling +2.1% (Golden Cove) -> +2.8% (Lion Cove); mascot +1.0% -> +1.3%");
+    mascot_bench::experiments::main("figure12");
 }

@@ -12,8 +12,8 @@ use mascot_predictors::AnyPredictor;
 pub use mascot_predictors::PredictorKind;
 pub use mascot_sampling::SamplingConfig;
 use mascot_sampling::{ClusterPlan, WarmSet};
-use mascot_sim::{simulate, CoreConfig, SimStats, Trace};
-use mascot_workloads::{generate, WorkloadProfile};
+use mascot_sim::{CoreConfig, SimStats, Simulator, Trace};
+use mascot_workloads::{generate, spec, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 
 /// Default trace length per benchmark (micro-ops).
@@ -28,64 +28,66 @@ const TRACE_CACHE_MAX_ENTRIES: usize = 48;
 /// tens of millions of uops per distinct key for the process lifetime.
 const TRACE_CACHE_MAX_UOPS: usize = 24_000_000;
 
-type TraceKey = (WorkloadProfile, u64, usize);
-type TraceSlot = Arc<OnceLock<Arc<Trace>>>;
-
-struct TraceCacheEntry {
-    key: TraceKey,
-    slot: TraceSlot,
+#[derive(Debug)]
+struct SlotEntry<K, V> {
+    key: K,
+    weight: usize,
+    slot: Arc<OnceLock<Arc<V>>>,
     last_used: u64,
 }
 
-/// A bounded LRU of generated traces, keyed by `(profile, seed, uops)`.
-/// Kept separate from the static instance so the eviction policy is unit
-/// testable on a fresh cache.
-struct TraceCache {
+/// A bounded LRU of values built at most once per key: the one cache
+/// mechanism behind the trace cache, the sampling-prep cache and the
+/// [`Evaluation`] result memo. Retention is bounded by an entry count and
+/// by a total weight (whatever unit the caller charges per key).
+///
+/// The registry lock is held only to find/insert a key's slot, never while
+/// building, so workers building *different* values proceed in parallel;
+/// workers racing for the *same* key rendezvous on the slot's `OnceLock`
+/// and build it exactly once. Eviction drops only the registry's reference
+/// — a worker holding a slot for an evicted key finishes building into its
+/// own `Arc`s. Lookup is a linear scan: at these entry caps that is
+/// trivially cheaper than the milliseconds a hit saves.
+#[derive(Debug)]
+struct SlotCache<K, V> {
     /// Entries plus a monotonic access tick, under one lock.
-    inner: Mutex<(Vec<TraceCacheEntry>, u64)>,
+    inner: Mutex<(Vec<SlotEntry<K, V>>, u64)>,
     max_entries: usize,
-    max_uops: usize,
+    max_weight: usize,
 }
 
-impl TraceCache {
-    const fn new(max_entries: usize, max_uops: usize) -> Self {
+impl<K: PartialEq, V> SlotCache<K, V> {
+    const fn new(max_entries: usize, max_weight: usize) -> Self {
         Self {
             inner: Mutex::new((Vec::new(), 0)),
             max_entries,
-            max_uops,
+            max_weight,
         }
     }
 
-    fn get(&self, profile: &WorkloadProfile, seed: u64, trace_uops: usize) -> Arc<Trace> {
-        // The registry lock is held only to find/insert the key's slot,
-        // never during generation, so workers building *different* traces
-        // proceed in parallel; workers racing for the *same* trace
-        // rendezvous on the slot's `OnceLock` and generate it exactly once.
-        // Eviction drops only the registry's reference — a worker holding a
-        // slot for an evicted key finishes generating into its own `Arc`s.
-        let slot: TraceSlot = {
-            let mut guard = self.inner.lock().expect("trace cache poisoned");
+    /// Returns the value for `key`, building it with `build` unless it is
+    /// cached. `weight` is what the entry charges against the weight bound.
+    fn get_or_init(&self, key: K, weight: usize, build: impl FnOnce() -> V) -> Arc<V> {
+        let slot = {
+            let mut guard = self.inner.lock().expect("slot cache poisoned");
             let (entries, tick) = &mut *guard;
             *tick += 1;
             let now = *tick;
-            match entries
-                .iter_mut()
-                .find(|e| e.key.0 == *profile && e.key.1 == seed && e.key.2 == trace_uops)
-            {
+            match entries.iter_mut().find(|e| e.key == key) {
                 Some(entry) => {
                     entry.last_used = now;
                     Arc::clone(&entry.slot)
                 }
                 None => {
                     // Evict least-recently-used entries until the new one
-                    // fits both bounds (an oversized single trace still
+                    // fits both bounds (an oversized single value still
                     // gets cached — the bounds limit *retention*, not
-                    // admission, so the generate-once rendezvous works for
+                    // admission, so the build-once rendezvous works for
                     // any size).
                     while !entries.is_empty()
                         && (entries.len() >= self.max_entries
-                            || entries.iter().map(|e| e.key.2).sum::<usize>() + trace_uops
-                                > self.max_uops)
+                            || entries.iter().map(|e| e.weight).sum::<usize>() + weight
+                                > self.max_weight)
                     {
                         let lru = entries
                             .iter()
@@ -95,9 +97,10 @@ impl TraceCache {
                             .expect("checked non-empty");
                         entries.swap_remove(lru);
                     }
-                    let slot = TraceSlot::default();
-                    entries.push(TraceCacheEntry {
-                        key: (profile.clone(), seed, trace_uops),
+                    let slot = Arc::default();
+                    entries.push(SlotEntry {
+                        key,
+                        weight,
                         slot: Arc::clone(&slot),
                         last_used: now,
                     });
@@ -105,7 +108,18 @@ impl TraceCache {
                 }
             }
         };
-        Arc::clone(slot.get_or_init(|| Arc::new(generate(profile, seed, trace_uops))))
+        Arc::clone(slot.get_or_init(|| Arc::new(build())))
+    }
+}
+
+/// The trace cache, keyed by `(profile, seed, uops)` and weighted by uops.
+type TraceCache = SlotCache<(WorkloadProfile, u64, usize), Trace>;
+
+impl TraceCache {
+    fn get(&self, profile: &WorkloadProfile, seed: u64, trace_uops: usize) -> Arc<Trace> {
+        self.get_or_init((profile.clone(), seed, trace_uops), trace_uops, || {
+            generate(profile, seed, trace_uops)
+        })
     }
 }
 
@@ -120,9 +134,7 @@ impl TraceCache {
 /// ([`TRACE_CACHE_MAX_ENTRIES`] entries, [`TRACE_CACHE_MAX_UOPS`] total
 /// requested uops): least-recently-used traces are dropped once either
 /// bound is exceeded, so long-lived processes sweeping many long traces
-/// don't accumulate every trace they ever touched. Lookup is a linear
-/// scan — at the entry cap that's still trivially cheaper than the
-/// milliseconds a hit saves.
+/// don't accumulate every trace they ever touched.
 pub fn cached_trace(profile: &WorkloadProfile, seed: u64, trace_uops: usize) -> Arc<Trace> {
     static CACHE: TraceCache = TraceCache::new(TRACE_CACHE_MAX_ENTRIES, TRACE_CACHE_MAX_UOPS);
     CACHE.get(profile, seed, trace_uops)
@@ -148,12 +160,11 @@ pub struct SamplingPrep {
     pub warm: WarmSet,
 }
 
-type PrepKey = (WorkloadProfile, u64, usize, String, CoreConfig, SamplingConfig);
-type PrepSlot = Arc<OnceLock<Arc<SamplingPrep>>>;
+type PrepKey = (WorkloadProfile, u64, usize, PredictorKind, CoreConfig, SamplingConfig);
 
 /// Returns the sampling prep for a cell, building it at most once while it
-/// stays cached (bounded LRU, same slot-rendezvous discipline as
-/// [`cached_trace`]). This is what makes sampled *sweeps* fast: the plan
+/// stays cached (a [`PREP_CACHE_MAX_ENTRIES`]-entry LRU of the same kind as
+/// [`cached_trace`]'s). This is what makes sampled *sweeps* fast: the plan
 /// and warm checkpoints are a per-trace/per-predictor investment — itself
 /// several times cheaper than one full simulation — after which every
 /// further sampled run of that cell costs only its representative windows.
@@ -167,46 +178,14 @@ pub fn cached_sampling_prep(
     trace_uops: usize,
     cfg: &SamplingConfig,
 ) -> Arc<SamplingPrep> {
-    static CACHE: Mutex<(Vec<(PrepKey, PrepSlot, u64)>, u64)> = Mutex::new((Vec::new(), 0));
-    let key: PrepKey = (
-        profile.clone(),
-        seed,
-        trace_uops,
-        kind.label().into_owned(),
-        core.clone(),
-        *cfg,
-    );
-    let slot: PrepSlot = {
-        let mut guard = CACHE.lock().expect("prep cache poisoned");
-        let (entries, tick) = &mut *guard;
-        *tick += 1;
-        let now = *tick;
-        match entries.iter_mut().find(|(k, _, _)| *k == key) {
-            Some((_, slot, last_used)) => {
-                *last_used = now;
-                Arc::clone(slot)
-            }
-            None => {
-                while entries.len() >= PREP_CACHE_MAX_ENTRIES {
-                    let lru = entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, last_used))| *last_used)
-                        .map(|(i, _)| i)
-                        .expect("checked non-empty");
-                    entries.swap_remove(lru);
-                }
-                let slot = PrepSlot::default();
-                entries.push((key, Arc::clone(&slot), now));
-                slot
-            }
-        }
-    };
-    Arc::clone(slot.get_or_init(|| {
+    static CACHE: SlotCache<PrepKey, SamplingPrep> =
+        SlotCache::new(PREP_CACHE_MAX_ENTRIES, usize::MAX);
+    let key = (profile.clone(), seed, trace_uops, kind, core.clone(), *cfg);
+    CACHE.get_or_init(key, 0, || {
         let plan = mascot_sampling::plan(trace, cfg);
         let warm = mascot_sampling::warm_checkpoints(trace, &plan, kind, core, cfg);
-        Arc::new(SamplingPrep { plan, warm })
-    }))
+        SamplingPrep { plan, warm }
+    })
 }
 
 /// The outcome of one simulation run.
@@ -229,32 +208,36 @@ pub struct RunResult {
     pub uops_per_sec: f64,
 }
 
-/// Computes the throughput fields from a finished run.
-fn throughput_of(stats: &SimStats, wall: std::time::Duration) -> (f64, f64) {
-    let secs = wall.as_secs_f64();
-    let uops_per_sec = if secs > 0.0 {
-        stats.committed_uops as f64 / secs
+/// `n` per second of `secs`, or 0 for an unmeasurably short run.
+fn per_sec(n: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        n as f64 / secs
     } else {
         0.0
-    };
-    (secs * 1e3, uops_per_sec)
+    }
 }
 
-/// Trace length override from `MASCOT_TRACE_UOPS`, else the default.
-pub fn trace_uops_from_env() -> usize {
-    std::env::var("MASCOT_TRACE_UOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TRACE_UOPS)
-}
-
-/// Sampled-mode override from `MASCOT_SAMPLED` (any value other than empty
-/// or `0` enables). When set, [`run_one`] — and therefore [`run_suite`] and
-/// every figure/table binary built on them — transparently projects each
-/// cell from representative intervals ([`run_one_sampled`] with the default
-/// [`SamplingConfig`]) instead of simulating the whole trace.
-pub fn sampled_from_env() -> bool {
-    std::env::var("MASCOT_SAMPLED").is_ok_and(|v| !v.is_empty() && v != "0")
+/// Simulates `trace` on `predictor` (the simulator set up by `configure`),
+/// timing the simulation but not the predictor's construction.
+fn timed_run(
+    trace: &Trace,
+    core: &CoreConfig,
+    predictor: &mut AnyPredictor,
+    label: String,
+    configure: impl for<'s> FnOnce(Simulator<'s, AnyPredictor>) -> Simulator<'s, AnyPredictor>,
+) -> RunResult {
+    let t0 = Instant::now();
+    let stats = configure(Simulator::new(trace, core, predictor)).run();
+    let secs = t0.elapsed().as_secs_f64();
+    RunResult {
+        benchmark: trace.name.clone(),
+        predictor: label,
+        core: core.name.clone(),
+        storage_kib: predictor.storage_kib(),
+        wall_ms: secs * 1e3,
+        uops_per_sec: per_sec(stats.committed_uops, secs),
+        stats,
+    }
 }
 
 /// Runs one simulation against a caller-owned predictor (used by the
@@ -269,23 +252,11 @@ pub fn run_with_predictor(
     tuning_period: Option<u64>,
 ) -> RunResult {
     let trace = cached_trace(profile, seed, trace_uops);
-    let t0 = Instant::now();
-    let sim = mascot_sim::Simulator::new(&trace, core, predictor);
-    let sim = match tuning_period {
+    let label = predictor.name().to_string();
+    timed_run(&trace, core, predictor, label, |sim| match tuning_period {
         Some(p) => sim.with_tuning_period(p),
         None => sim,
-    };
-    let stats = sim.run();
-    let (wall_ms, uops_per_sec) = throughput_of(&stats, t0.elapsed());
-    RunResult {
-        benchmark: profile.name.to_string(),
-        predictor: predictor.name().to_string(),
-        core: core.name.clone(),
-        stats,
-        storage_kib: predictor.storage_kib(),
-        wall_ms,
-        uops_per_sec,
-    }
+    })
 }
 
 /// Runs a caller-supplied trace (adversarial composers and other traces
@@ -298,29 +269,16 @@ pub fn run_trace(
     core: &CoreConfig,
     tenant_split: Option<u64>,
 ) -> RunResult {
-    let mut predictor = kind.build();
-    let t0 = Instant::now();
-    let sim = mascot_sim::Simulator::new(trace, core, &mut predictor);
-    let sim = match tenant_split {
+    let label = kind.label().into_owned();
+    timed_run(trace, core, &mut kind.build(), label, |sim| match tenant_split {
         Some(boundary) => sim.with_tenant_split(boundary),
         None => sim,
-    };
-    let stats = sim.run();
-    let (wall_ms, uops_per_sec) = throughput_of(&stats, t0.elapsed());
-    RunResult {
-        benchmark: trace.name.clone(),
-        predictor: kind.label().into_owned(),
-        core: core.name.clone(),
-        stats,
-        storage_kib: predictor.storage_kib(),
-        wall_ms,
-        uops_per_sec,
-    }
+    })
 }
 
-/// Runs one (benchmark, predictor, core) combination. Honours the
-/// `MASCOT_SAMPLED` override ([`sampled_from_env`]): when set, the cell is
-/// projected from representative intervals instead of simulated end to end.
+/// Runs one (benchmark, predictor, core) combination over the whole trace.
+/// Every call simulates: results are memoised only inside an
+/// [`Evaluation`].
 pub fn run_one(
     profile: &WorkloadProfile,
     kind: PredictorKind,
@@ -328,29 +286,14 @@ pub fn run_one(
     trace_uops: usize,
     seed: u64,
 ) -> RunResult {
-    if sampled_from_env() {
-        return run_one_sampled(profile, kind, core, trace_uops, seed, &SamplingConfig::default())
-            .run;
-    }
+    #[cfg(test)]
+    tests::SIMULATIONS.with(|n| n.set(n.get() + 1));
     let trace = cached_trace(profile, seed, trace_uops);
-    let mut predictor = kind.build();
-    let t0 = Instant::now();
-    let stats = simulate(&trace, core, &mut predictor);
-    let (wall_ms, uops_per_sec) = throughput_of(&stats, t0.elapsed());
-    RunResult {
-        benchmark: profile.name.to_string(),
-        predictor: kind.label().into_owned(),
-        core: core.name.clone(),
-        stats,
-        storage_kib: predictor.storage_kib(),
-        wall_ms,
-        uops_per_sec,
-    }
+    timed_run(&trace, core, &mut kind.build(), kind.label().into_owned(), |sim| sim)
 }
 
-/// Runs the full cross product in parallel on the shared scoped worker
-/// pool ([`mascot_sampling::parallel_map`]), bounded by the host's
-/// parallelism, results in cross-product order.
+/// Runs the full cross product over whole traces, in parallel and in
+/// cross-product order ([`Evaluation::run_suite`] on a fresh evaluation).
 pub fn run_suite(
     profiles: &[WorkloadProfile],
     kinds: &[PredictorKind],
@@ -358,13 +301,96 @@ pub fn run_suite(
     trace_uops: usize,
     seed: u64,
 ) -> Vec<RunResult> {
-    let jobs: Vec<(&WorkloadProfile, PredictorKind)> = profiles
-        .iter()
-        .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
-        .collect();
-    mascot_sampling::parallel_map(&jobs, |_, &(profile, kind)| {
-        run_one(profile, kind, core, trace_uops, seed)
-    })
+    Evaluation::new(trace_uops, seed, false).run_suite(profiles, kinds, core)
+}
+
+/// Entry cap for an [`Evaluation`]'s result memo: the whole paper
+/// evaluation touches about 480 distinct cells.
+const MEMO_MAX_ENTRIES: usize = 1024;
+
+type CellKey = (WorkloadProfile, PredictorKind, CoreConfig, usize, u64, bool);
+
+/// The context every experiment renders from: trace length, seed, full or
+/// sampled mode, and a memo of finished cells, so an experiment that asks
+/// for a (benchmark, predictor, core) cell another one already ran gets
+/// the stored result instead of a second simulation.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// Trace length of every cell (micro-ops).
+    pub trace_uops: usize,
+    /// Generation seed of every trace.
+    pub seed: u64,
+    /// Whether cells are projected from representative intervals
+    /// ([`run_one_sampled`] with the default [`SamplingConfig`]) instead
+    /// of simulated over the whole trace.
+    pub sampled: bool,
+    memo: SlotCache<CellKey, RunResult>,
+}
+
+impl Evaluation {
+    /// An evaluation with an empty memo.
+    pub fn new(trace_uops: usize, seed: u64, sampled: bool) -> Self {
+        Self {
+            trace_uops,
+            seed,
+            sampled,
+            memo: SlotCache::new(MEMO_MAX_ENTRIES, usize::MAX),
+        }
+    }
+
+    /// The paper evaluation's context: [`DEFAULT_SEED`] and the trace
+    /// length from `MASCOT_TRACE_UOPS`, else [`DEFAULT_TRACE_UOPS`].
+    pub fn from_env(sampled: bool) -> Self {
+        let trace_uops = std::env::var("MASCOT_TRACE_UOPS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(DEFAULT_TRACE_UOPS);
+        Self::new(trace_uops, DEFAULT_SEED, sampled)
+    }
+
+    /// The result of one (benchmark, predictor, core) cell, simulated (or
+    /// projected) the first time it is asked for.
+    pub fn run(
+        &self,
+        profile: &WorkloadProfile,
+        kind: PredictorKind,
+        core: &CoreConfig,
+    ) -> Arc<RunResult> {
+        let (uops, seed, sampled) = (self.trace_uops, self.seed, self.sampled);
+        let key = (profile.clone(), kind, core.clone(), uops, seed, sampled);
+        self.memo.get_or_init(key, 0, || {
+            if sampled {
+                run_one_sampled(profile, kind, core, uops, seed, &SamplingConfig::default()).run
+            } else {
+                run_one(profile, kind, core, uops, seed)
+            }
+        })
+    }
+
+    /// Every benchmark profile on Golden Cove: the sweep most figures plot.
+    pub fn golden_cove_suite(&self, kinds: &[PredictorKind]) -> Vec<RunResult> {
+        self.run_suite(&spec::all_profiles(), kinds, &CoreConfig::golden_cove())
+    }
+
+    /// The (profile × kind) cross product through the memo, in parallel on
+    /// the shared scoped worker pool ([`mascot_sampling::parallel_map`]),
+    /// results in cross-product order.
+    pub fn run_suite(
+        &self,
+        profiles: &[WorkloadProfile],
+        kinds: &[PredictorKind],
+        core: &CoreConfig,
+    ) -> Vec<RunResult> {
+        let jobs: Vec<(&WorkloadProfile, PredictorKind)> = profiles
+            .iter()
+            .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
+            .collect();
+        let cells = mascot_sampling::parallel_map(&jobs, |_, &(p, k)| self.run(p, k, core));
+        // Copied out on this thread, not in the workers, so the figures'
+        // short-lived copies stay out of the allocator arenas that hold the
+        // cached traces.
+        cells.iter().map(|r| RunResult::clone(r)).collect()
+    }
 }
 
 /// The outcome of one *sampled* simulation run (DESIGN.md §13): projected
@@ -411,11 +437,6 @@ pub fn run_one_sampled(
     let t0 = Instant::now();
     let out = mascot_sampling::run_sampled_with(&trace, &prep.plan, &prep.warm, core, cfg);
     let secs = t0.elapsed().as_secs_f64();
-    let uops_per_sec = if secs > 0.0 {
-        out.represented_uops as f64 / secs
-    } else {
-        0.0
-    };
     SampledRunResult {
         run: RunResult {
             benchmark: profile.name.to_string(),
@@ -424,31 +445,12 @@ pub fn run_one_sampled(
             stats: out.projected,
             storage_kib: kind.build().storage_kib(),
             wall_ms: secs * 1e3,
-            uops_per_sec,
+            uops_per_sec: per_sec(out.represented_uops, secs),
         },
         simulated_uops: out.simulated_uops,
         represented_uops: out.represented_uops,
         prep_wall_ms,
     }
-}
-
-/// Sampled-mode [`run_suite`]: the same cross product, each cell projected
-/// from representative intervals instead of simulated end to end. The
-/// per-cell pipeline already fans its representatives out on the worker
-/// pool, so cells run sequentially here rather than nesting pools.
-pub fn run_suite_sampled(
-    profiles: &[WorkloadProfile],
-    kinds: &[PredictorKind],
-    core: &CoreConfig,
-    trace_uops: usize,
-    seed: u64,
-    cfg: &SamplingConfig,
-) -> Vec<SampledRunResult> {
-    profiles
-        .iter()
-        .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
-        .map(|(p, k)| run_one_sampled(p, k, core, trace_uops, seed, cfg))
-        .collect()
 }
 
 /// Finds the result for (benchmark, predictor) in a result set.
@@ -496,7 +498,35 @@ pub fn benchmarks(results: &[RunResult]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mascot_workloads::spec;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Full-trace simulations [`run_one`] started on this thread.
+        pub(super) static SIMULATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn evaluation_memo_is_transparent_and_run_one_is_uncached() {
+        let profile = spec::profile("exchange2").unwrap();
+        let core = CoreConfig::golden_cove();
+        let eval = Evaluation::new(10_000, 1, false);
+        let sims = || SIMULATIONS.with(Cell::get);
+        let start = sims();
+        let first = eval.run(&profile, PredictorKind::Mascot, &core);
+        assert_eq!(sims(), start + 1, "first request simulates");
+        let fresh = run_one(&profile, PredictorKind::Mascot, &core, 10_000, 1);
+        assert_eq!(first.stats, fresh.stats, "memoised cell equals a fresh run");
+        let again = eval.run(&profile, PredictorKind::Mascot, &core);
+        assert!(Arc::ptr_eq(&first, &again), "second request is served from the memo");
+        assert_eq!(sims(), start + 2, "only the plain run_one simulated since");
+        // A different cell of the same evaluation is a new simulation.
+        let _ = eval.run(&profile, PredictorKind::PerfectMdp, &core);
+        assert_eq!(sims(), start + 3);
+        // Plain run_one never memoises: two calls, two simulations.
+        let _ = run_one(&profile, PredictorKind::Mascot, &core, 10_000, 1);
+        let _ = run_one(&profile, PredictorKind::Mascot, &core, 10_000, 1);
+        assert_eq!(sims(), start + 5);
+    }
 
     #[test]
     fn kinds_build_and_have_expected_sizes() {
@@ -644,7 +674,7 @@ mod tests {
     #[test]
     fn trace_uops_env_override() {
         // No env var set in the test environment: default applies.
-        assert_eq!(trace_uops_from_env(), DEFAULT_TRACE_UOPS);
+        assert_eq!(Evaluation::from_env(false).trace_uops, DEFAULT_TRACE_UOPS);
     }
 
     #[test]

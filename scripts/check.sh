@@ -4,13 +4,15 @@
 #   scripts/check.sh            # offline build + tests + perf checks
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
-# Fails if the build (warnings are errors) or any test fails, if the
-# seeded audit soak (cycle-granular invariant checks, the batch-vs-scalar
-# prediction differential over every registered predictor kind, and
-# differential runs across every workload profile and the mistraining
-# compositions) flags a violation, if the adversarial gate fails (the
-# alias attack must measurably pollute baseline mascot while
-# RandomizedMascot cuts attack success >= 10x at <= 5% benign IPC cost),
+# Fails if the build (warnings are errors) or any workspace test fails, if
+# the reduced-length evaluation output drifts from the committed
+# experiments_output_12k.txt, if the seeded audit soak (cycle-granular
+# invariant checks, the batch-vs-scalar prediction differential over every
+# registered predictor kind, and differential runs across every workload
+# profile and the mistraining compositions) flags a violation, if the
+# adversarial gate fails (the alias attack must measurably pollute
+# baseline mascot while RandomizedMascot cuts attack success >= 10x at
+# <= 5% benign IPC cost),
 # if simulator throughput regresses against the committed
 # BENCH_sim_throughput.json baseline (median of 3 passes; >10% aggregate
 # or >12% for any single predictor's suite-wide number), if sampled
@@ -51,8 +53,22 @@ echo "== tier-1: release build (warnings are errors) =="
 # target/release/mascotd (or none at all on a fresh clone).
 cargo build --release ${CARGO_FLAGS} --workspace
 
-echo "== tier-1: tests =="
-cargo test -q ${CARGO_FLAGS}
+echo "== tier-1: tests (whole workspace) =="
+# --workspace: a bare `cargo test` runs only the root package's tests, not
+# the member crates' (sampling properties, wire boundaries, metrics...).
+cargo test -q ${CARGO_FLAGS} --workspace
+
+echo "== drift gate (evaluation output vs experiments_output_12k.txt) =="
+# The whole paper evaluation at a 12k-uop trace length, in one process
+# (a few seconds), minus its wall-time line, must match the committed
+# capture byte for byte. Regenerate on intentional model changes with
+#   MASCOT_TRACE_UOPS=12000 target/release/all_experiments \
+#       | sed '/^all experiments completed in/d' > experiments_output_12k.txt
+MASCOT_TRACE_UOPS=12000 ./target/release/all_experiments \
+    | sed '/^all experiments completed in/d' \
+    | diff -u experiments_output_12k.txt - \
+    || { echo "evaluation output drifted from experiments_output_12k.txt"; exit 1; }
+echo "drift gate ok"
 
 echo "== audit soak (batch differential + seeded, all workload profiles) =="
 # Starts with the batch-vs-scalar equivalence differential for every
