@@ -7,8 +7,8 @@
 //!    kind must produce bit-identical [`SimStats`] and leave the predictor
 //!    in the same state. The engine has no randomness; any divergence means
 //!    iteration-order or uninitialised-state leakage.
-//! 2. **Bypass demotion** — [`mascot::MascotMdpOnly`] is full MASCOT with
-//!    the bypass bit masked off, and MASCOT's training is invariant under
+//! 2. **Bypass demotion** — [`Mascot::mdp_only`] is full MASCOT with the
+//!    bypass bit masked off, and MASCOT's training is invariant under
 //!    that demotion (`Dependence` and `Bypass` share a training arm). Walked
 //!    in lockstep over the same lookup/train stream, the two must therefore
 //!    agree on every prediction modulo [`MemDepPrediction::demote_bypass`].
@@ -18,15 +18,13 @@
 //!    batched instance driven over the same seeded stream must agree on
 //!    every prediction, every piece of metadata, and the final state.
 //!
-//! Predictor state is compared behaviorally: serde in this build is a
-//! vendored stub, so instead of serialising tables we clone the predictor
-//! and probe it with every distinct load PC in the trace ("what would you
-//! predict now?"). Two predictors that answer every probe identically are
+//! Predictor state is compared behaviorally: instead of comparing tables
+//! we clone the predictor and probe it with every distinct load PC in the
+//! trace ("what would you predict now?"). Two predictors that answer every probe identically are
 //! interchangeable for any continuation of the run.
 
 use mascot::config::MascotConfig;
 use mascot::history::{BranchEvent, BranchKind};
-use mascot::mdp_only::MascotMdpOnly;
 use mascot::predictor::Mascot;
 use mascot::prediction::{
     BypassClass, GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction,
@@ -214,13 +212,14 @@ fn outcome_of(dep: Option<TraceDep>) -> LoadOutcome {
     }
 }
 
-/// Walks `trace` through a full MASCOT and a [`MascotMdpOnly`] in lockstep
+/// Walks `trace` through a full MASCOT and an MDP-only one
+/// ([`Mascot::mdp_only`]) in lockstep
 /// (same branch events, store dispatches, lookups and training outcomes)
 /// and verifies that every MDP-only prediction equals the full predictor's
 /// demoted one, including a final-state fingerprint over all load PCs.
 pub fn check_mdp_agreement(trace: &Trace) -> Result<(), DiffError> {
     let mut full = Mascot::new(MascotConfig::default()).expect("valid default config");
-    let mut mdp = MascotMdpOnly::new(MascotConfig::default()).expect("valid default config");
+    let mut mdp = Mascot::mdp_only(MascotConfig::default()).expect("valid default config");
     let mut store_count = 0u64;
     for (trace_idx, u) in trace.uops.iter().enumerate() {
         match u.kind {

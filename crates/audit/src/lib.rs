@@ -10,9 +10,9 @@
 //!   as an ordinary result.
 //! * [`differential`] — replays the same trace twice and diffs the
 //!   statistics and a behavioral fingerprint of the final predictor state
-//!   (catching nondeterminism), and walks `MascotMdpOnly` against full
-//!   MASCOT in lockstep, where every prediction must agree modulo bypass
-//!   demotion.
+//!   (catching nondeterminism), walks MDP-only MASCOT against full MASCOT
+//!   in lockstep, where every prediction must agree modulo bypass demotion,
+//!   and checks every predictor kind's batch API against its scalar one.
 //! * [`shrink`] — delta-debugs a failing trace down to a minimal repro,
 //!   renormalizing ground-truth dependence annotations after every cut so
 //!   each candidate is a well-formed trace, and writes the result as an

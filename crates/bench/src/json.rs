@@ -1,6 +1,6 @@
 //! Minimal JSON writing/scanning helpers for benchmark baselines.
 //!
-//! The build is offline (no `serde_json`), and the only JSON this workspace
+//! The build is offline (no JSON library), and the only JSON this workspace
 //! handles is machine-written benchmark baselines (`BENCH_*.json`): flat
 //! objects plus one array of flat row objects. [`JsonObject`] writes that
 //! shape; [`scan_f64_field`] pulls a numeric field back out of a file this

@@ -7,7 +7,6 @@
 //! sweep down to the 10.1 KiB point.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Errors produced when validating a [`MascotConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +36,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Full geometry and policy parameters for a MASCOT predictor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MascotConfig {
     /// Global-history length (in branches) used by each table, shortest
     /// first; the first entry must be 0 (the PC-indexed table).

@@ -15,11 +15,10 @@
 //! [`rewind_hashers`].
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Control-flow class of a history event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Direction-predicted branch: contributes its taken bit.
     Conditional,
@@ -28,7 +27,7 @@ pub enum BranchKind {
 }
 
 /// One committed-path branch, as recorded in global history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchEvent {
     /// PC of the branch instruction.
     pub pc: u64,
@@ -65,7 +64,7 @@ impl BranchEvent {
 }
 
 /// A bounded log of the most recent branch events, most recent last.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalHistory {
     events: VecDeque<BranchEvent>,
     capacity: usize,
@@ -342,44 +341,13 @@ fn undo_depth(history: &GlobalHistory, max_window: u32, recent: &[BranchEvent]) 
 /// tracked with wrapping counters) so the fold never executes a hardware
 /// divide: these registers advance on every branch for every table, and the
 /// `%` in the naive formulation dominated the history-maintenance profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "FoldedWire", into = "FoldedWire")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldedHistory {
     bits: u32,
     window: u32,
     reg: u64,
     /// Cached `window % bits`: the rotation applied to outgoing chunks.
     window_rot: u32,
-}
-
-/// Serialized image of [`FoldedHistory`]; the cached rotation constant is
-/// derived, so only the defining fields cross (de)serialization.
-#[derive(Serialize, Deserialize)]
-struct FoldedWire {
-    bits: u32,
-    window: u32,
-    reg: u64,
-}
-
-impl From<FoldedWire> for FoldedHistory {
-    fn from(w: FoldedWire) -> Self {
-        Self {
-            bits: w.bits,
-            window: w.window,
-            reg: w.reg,
-            window_rot: if w.bits == 0 { 0 } else { w.window % w.bits },
-        }
-    }
-}
-
-impl From<FoldedHistory> for FoldedWire {
-    fn from(f: FoldedHistory) -> Self {
-        Self {
-            bits: f.bits,
-            window: f.window,
-            reg: f.reg,
-        }
-    }
 }
 
 impl FoldedHistory {
@@ -516,7 +484,7 @@ impl FoldedHistory {
 /// Produces the set index and tag for one tagged table given a load PC, per
 /// §IV-B ("the index and tag are computed by folding the load PC and
 /// increasing lengths of the global branch and path history").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableHasher {
     history_len: u32,
     index_bits: u32,
@@ -1108,21 +1076,5 @@ mod tests {
         };
         // Two targets whose 5-bit folds differ.
         assert_ne!(build(0x1000), build(0x1004));
-    }
-
-    /// A (de)serialization round-trip must reconstruct the cached rotation
-    /// state exactly (it is derived, not serialized — see [`FoldedWire`]).
-    #[test]
-    fn folded_history_wire_round_trip() {
-        let mut f = FoldedHistory::new(9, 7);
-        let mut hist = GlobalHistory::new(64);
-        for i in 0..20u64 {
-            let ev = cond(i * 4, i % 3 == 0);
-            let outgoing = hist.event_at_age(6).map(BranchEvent::chunk);
-            f.push(ev.chunk(), outgoing);
-            hist.push(ev);
-        }
-        let back = FoldedHistory::from(FoldedWire::from(f.clone()));
-        assert_eq!(back, f);
     }
 }

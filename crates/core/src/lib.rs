@@ -37,8 +37,11 @@
 //! ## Crate layout
 //!
 //! * [`predictor::Mascot`] — the predictor itself, including the §IV-C
-//!   try-again allocation policy and §IV-D non-dependence tracking.
-//! * [`mdp_only::MascotMdpOnly`] — the MDP-only variant of Fig. 9.
+//!   try-again allocation policy and §IV-D non-dependence tracking. Two
+//!   constructors build the paper's variants of it: the MDP-only mode of
+//!   Fig. 9 ([`Mascot::mdp_only`]) and the Fig. 11 ablation without
+//!   non-dependence allocation
+//!   ([`Mascot::without_non_dependence_allocation`]).
 //! * [`config::MascotConfig`] — geometry presets: the default 14 KiB
 //!   configuration, MASCOT-OPT and the Fig. 15 tag-reduction sweep.
 //! * [`history`] — global branch/path history and TAGE folded registers.
@@ -54,7 +57,6 @@
 pub mod config;
 pub mod entry;
 pub mod history;
-pub mod mdp_only;
 pub mod prediction;
 pub mod predictor;
 pub mod table;
@@ -65,7 +67,6 @@ pub use entry::MascotEntry;
 pub use history::{
     rewind_hashers, BranchEvent, BranchKind, FoldedHistory, GlobalHistory, TableHasher,
 };
-pub use mdp_only::MascotMdpOnly;
 pub use prediction::{
     BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor,
     ObservedDependence, PredictReq, StoreDistance, TrainReq,

@@ -5,7 +5,6 @@
 //! either independent, dependent on a specific prior store (MDP), or
 //! dependent with a bypassable value (SMB).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::history::BranchEvent;
@@ -26,7 +25,7 @@ use crate::history::BranchEvent;
 /// assert!(StoreDistance::new(0).is_none());
 /// assert!(StoreDistance::new(128).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StoreDistance(u8);
 
 impl StoreDistance {
@@ -56,21 +55,44 @@ impl fmt::Display for StoreDistance {
 }
 
 /// How a load's bytes relate to the prior store it depends on (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The discriminants are the class's byte code ([`BypassClass::code`]) in
+/// the trace and wire formats, so they are frozen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BypassClass {
     /// Same address, same size: the value can be bypassed verbatim.
-    DirectBypass,
+    DirectBypass = 0,
     /// Same address, load smaller than the store: bypass with truncation.
-    NoOffset,
+    NoOffset = 1,
     /// Load fully contained in the store but at a non-zero offset: bypass
     /// would require shifting; MASCOT's default microarchitecture does not
     /// bypass these (§IV-E).
-    Offset,
+    Offset = 2,
     /// Partial overlap: a memory dependence with no bypass opportunity.
-    MdpOnly,
+    MdpOnly = 3,
 }
 
 impl BypassClass {
+    /// Every class, indexed by its byte code: `ALL[c.code() as usize] == c`.
+    pub const ALL: [BypassClass; 4] = [
+        BypassClass::DirectBypass,
+        BypassClass::NoOffset,
+        BypassClass::Offset,
+        BypassClass::MdpOnly,
+    ];
+
+    /// The class's one-byte code in the trace and wire formats.
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The class with byte code `code`, or `None` for an out-of-range byte.
+    #[inline]
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
+    }
+
     /// Whether this dependence can be bypassed on a microarchitecture that
     /// supports same-address bypassing (the paper's default: `DirectBypass`
     /// and `NoOffset`, §IV-E).
@@ -81,7 +103,7 @@ impl BypassClass {
 }
 
 /// The three-way prediction MASCOT makes for each load (Fig. 5, left).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemDepPrediction {
     /// The load does not depend on any in-flight prior store; issue as soon
     /// as its address is ready.
@@ -137,7 +159,7 @@ impl MemDepPrediction {
 
 /// The dependence a load was *observed* to have when it executed: the
 /// youngest older in-flight store whose bytes overlap the load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedDependence {
     /// Program-order store distance to the conflicting store.
     pub distance: StoreDistance,
@@ -151,7 +173,7 @@ pub struct ObservedDependence {
 }
 
 /// The commit-time training record for one load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadOutcome {
     /// The observed in-flight dependence, or `None` if the load had no
     /// conflict with any in-flight store.
@@ -180,7 +202,7 @@ impl LoadOutcome {
 
 /// Static, trace-level ground truth about a load's memory dependence,
 /// supplied to oracle ("perfect") predictors only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroundTruth {
     /// Program-order distance to the youngest prior store writing any byte
     /// the load reads, if within the encodable window.
@@ -192,7 +214,7 @@ pub struct GroundTruth {
 /// One prediction request of a batch (see
 /// [`MemDepPredictor::predict_batch`]). Mirrors the arguments of
 /// [`MemDepPredictor::predict`] exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictReq {
     /// Load PC.
     pub pc: u64,
@@ -340,6 +362,16 @@ mod tests {
         assert!(StoreDistance::new(0).is_none());
         assert!(StoreDistance::new(128).is_none());
         assert_eq!(StoreDistance::new(42).unwrap().to_string(), "42");
+    }
+
+    #[test]
+    fn bypass_class_codes_index_all() {
+        for (i, class) in BypassClass::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(class.code()), i);
+            assert_eq!(BypassClass::from_code(class.code()), Some(class));
+        }
+        assert_eq!(BypassClass::from_code(4), None);
+        assert_eq!(BypassClass::MdpOnly.code(), 3, "codes are a frozen format");
     }
 
     #[test]

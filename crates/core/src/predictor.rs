@@ -12,7 +12,6 @@
 //! confidence counter to decay (§III-A).
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::config::MascotConfig;
 use crate::entry::MascotEntry;
@@ -28,7 +27,7 @@ use crate::tuning::TuningState;
 pub const MAX_TABLES: usize = 16;
 
 /// One table's lookup coordinates, captured at prediction time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableLookup {
     /// Set index within the table.
     pub index: u32,
@@ -39,7 +38,7 @@ pub struct TableLookup {
 /// Per-prediction metadata carried in the load's ROB entry and handed back
 /// at commit, so training uses exactly the speculative-history hashes the
 /// prediction used (as the hardware would).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MascotMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -63,7 +62,7 @@ impl MascotMeta {
 }
 
 /// Aggregate counters exposed for the Figs. 8, 10 and 13 analyses.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MascotStats {
     /// Predictions provided by each tagged table (Fig. 13).
     pub table_predictions: Vec<u64>,
@@ -91,6 +90,22 @@ enum EntryProto {
     NonDependent,
 }
 
+/// Which member of the MASCOT family an instance is. Only these three are
+/// evaluated, so only these three can be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// MASCOT proper: MDP + SMB, allocating non-dependence entries.
+    Mascot,
+    /// The Fig. 11 ablation, which on a false dependence only decays the
+    /// provider.
+    TageNoNd,
+    /// MASCOT used solely as a memory-dependence predictor (§VI-A, Fig. 9):
+    /// trained exactly like MASCOT (bypass counters included, so the tables
+    /// age the same way), but every bypass prediction is demoted to a plain
+    /// dependence when it is emitted.
+    MdpOnly,
+}
+
 /// The MASCOT predictor.
 ///
 /// # Examples
@@ -103,7 +118,7 @@ enum EntryProto {
 /// assert_eq!(pred, MemDepPrediction::NoDependence); // cold predictor
 /// assert!((p.storage_kib() - 14.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mascot {
     cfg: MascotConfig,
     tables: Vec<AssocTable<MascotEntry>>,
@@ -111,14 +126,11 @@ pub struct Mascot {
     history: GlobalHistory,
     tuning: Option<TuningState>,
     stats: MascotStats,
-    /// True for MASCOT proper; false for the Fig. 11 ablation, which on a
-    /// false dependence only decays the provider.
-    allocate_non_dependencies: bool,
+    mode: Mode,
     /// Updates since the last periodic decay (when enabled).
     updates_since_decay: u32,
     /// Scratch for the table-major batched probe (not part of the
     /// architectural state).
-    #[serde(skip, default)]
     batch_scratch: Vec<BatchSlot>,
 }
 
@@ -176,7 +188,7 @@ impl Mascot {
             history: GlobalHistory::new((max_hist * 2).max(64)),
             tuning,
             stats,
-            allocate_non_dependencies: true,
+            mode: Mode::Mascot,
             updates_since_decay: 0,
             batch_scratch: Vec::new(),
         })
@@ -194,7 +206,31 @@ impl Mascot {
         cfg: MascotConfig,
     ) -> Result<Self, crate::config::ConfigError> {
         let mut p = Self::new(cfg)?;
-        p.allocate_non_dependencies = false;
+        p.mode = Mode::TageNoNd;
+        Ok(p)
+    }
+
+    /// Builds MASCOT used solely as a memory-dependence predictor (§VI-A,
+    /// Fig. 9): it trains exactly like [`Mascot::new`], but never requests
+    /// speculative memory bypassing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Mascot::new`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mascot::{Mascot, MascotConfig, MemDepPredictor};
+    ///
+    /// let mut p = Mascot::mdp_only(MascotConfig::default()).expect("valid config");
+    /// let (pred, _meta) = p.predict(0x400, 0, None);
+    /// assert!(!pred.is_bypass());
+    /// assert_eq!(p.name(), "mascot-mdp");
+    /// ```
+    pub fn mdp_only(cfg: MascotConfig) -> Result<Self, crate::config::ConfigError> {
+        let mut p = Self::new(cfg)?;
+        p.mode = Mode::MdpOnly;
         Ok(p)
     }
 
@@ -211,7 +247,22 @@ impl Mascot {
     /// Whether non-dependence entries are allocated (false for the Fig. 11
     /// ablation).
     pub fn allocates_non_dependencies(&self) -> bool {
-        self.allocate_non_dependencies
+        self.mode != Mode::TageNoNd
+    }
+
+    /// Whether bypass predictions are demoted to plain dependencies (true
+    /// only for [`Mascot::mdp_only`]).
+    pub fn is_mdp_only(&self) -> bool {
+        self.mode == Mode::MdpOnly
+    }
+
+    /// A table's prediction as this mode emits it.
+    fn emit(&self, prediction: MemDepPrediction) -> MemDepPrediction {
+        if self.mode == Mode::MdpOnly {
+            prediction.demote_bypass()
+        } else {
+            prediction
+        }
     }
 
     /// The tuning state (per-slot F1 accounting), if enabled in the config.
@@ -347,7 +398,7 @@ impl Mascot {
     /// architectural state, and are likewise rebuilt fresh.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);
-        w.bool(self.allocate_non_dependencies);
+        w.bool(self.allocates_non_dependencies());
         w.u32(self.updates_since_decay);
         self.history.snap_encode(w);
         w.u32(self.stats.table_predictions.len() as u32);
@@ -378,7 +429,9 @@ impl Mascot {
         let cfg = MascotConfig::snap_decode(r)?;
         let mut p = Self::new(cfg)
             .map_err(|_| SnapError::Corrupt("snapshot configuration rejected by the predictor"))?;
-        p.allocate_non_dependencies = r.bool("non-dependence allocation flag")?;
+        if !r.bool("non-dependence allocation flag")? {
+            p.mode = Mode::TageNoNd;
+        }
         let updates = r.u32("decay phase")?;
         match p.cfg.periodic_decay {
             Some(period) if updates >= period => {
@@ -428,8 +481,27 @@ impl Mascot {
         Ok(p)
     }
 
+    /// Decodes an MDP-only predictor: the same payload as
+    /// [`Mascot::snap_decode`] (the snapshot variant tag, not the payload,
+    /// records the mode), which must have non-dependence allocation on.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mascot::snap_decode`], plus [`SnapError::Corrupt`] for a payload
+    /// of the Fig. 11 ablation.
+    pub fn snap_decode_mdp_only(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut p = Self::snap_decode(r)?;
+        if p.mode != Mode::Mascot {
+            return Err(SnapError::Corrupt(
+                "MDP-only payload without non-dependence allocation",
+            ));
+        }
+        p.mode = Mode::MdpOnly;
+        Ok(p)
+    }
+
     /// Folds another predictor's tables into this one — the warm-resharding
-    /// merge. Both predictors must share a configuration and ablation mode.
+    /// merge. Both predictors must share a configuration and mode.
     ///
     /// For every valid entry of `other`, the entry is unioned into the same
     /// (table, set) of `self`; on a tag collision or a full set the entry
@@ -447,11 +519,9 @@ impl Mascot {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Corrupt`] when the configurations or ablation modes
-    /// differ.
+    /// [`SnapError::Corrupt`] when the configurations or modes differ.
     pub fn merge_from(&mut self, other: &Self) -> Result<u64, SnapError> {
-        if self.cfg != other.cfg || self.allocate_non_dependencies != other.allocate_non_dependencies
-        {
+        if self.cfg != other.cfg || self.mode != other.mode {
             return Err(SnapError::Corrupt(
                 "cannot merge predictors with different configurations",
             ));
@@ -531,7 +601,7 @@ impl Mascot {
             if !slot.resolved {
                 self.stats.base_predictions += 1;
             }
-            sink(slot.prediction, slot.meta);
+            sink(self.emit(slot.prediction), slot.meta);
         }
         self.batch_scratch = slots;
     }
@@ -541,10 +611,10 @@ impl MemDepPredictor for Mascot {
     type Meta = MascotMeta;
 
     fn name(&self) -> &'static str {
-        if self.allocate_non_dependencies {
-            "mascot"
-        } else {
-            "tage-no-nd"
+        match self.mode {
+            Mode::Mascot => "mascot",
+            Mode::TageNoNd => "tage-no-nd",
+            Mode::MdpOnly => "mascot-mdp",
         }
     }
 
@@ -573,7 +643,7 @@ impl MemDepPredictor for Mascot {
             self.stats.base_predictions += 1;
         }
         (
-            prediction,
+            self.emit(prediction),
             MascotMeta {
                 lookups,
                 num_tables,
@@ -677,7 +747,7 @@ impl MemDepPredictor for Mascot {
                             e.punish_dependence();
                             e.punish_bypass();
                         });
-                        if self.allocate_non_dependencies {
+                        if self.allocates_non_dependencies() {
                             let start = meta.provider().map_or(0, |p| p + 1);
                             self.allocate(&meta, start, EntryProto::NonDependent);
                         }
@@ -699,7 +769,7 @@ impl MemDepPredictor for Mascot {
     }
 
     fn bypass_supports_offset(&self) -> bool {
-        self.cfg.offset_bypass
+        self.cfg.offset_bypass && self.mode != Mode::MdpOnly
     }
 
     fn storage_bits(&self) -> u64 {
@@ -810,6 +880,35 @@ mod tests {
             matches!(pred, MemDepPrediction::Dependence { .. }),
             "got {pred:?}"
         );
+    }
+
+    #[test]
+    fn mdp_only_never_predicts_bypass() {
+        let mut p = Mascot::mdp_only(small_cfg()).unwrap();
+        let out = LoadOutcome::dependent(dep(2, BypassClass::DirectBypass));
+        for _ in 0..30 {
+            let (pred, meta) = p.predict(PC, 0, None);
+            assert!(!pred.is_bypass());
+            p.train(PC, meta, pred, &out);
+        }
+        // The tables have saturated counters and would bypass...
+        let mut full = p.clone();
+        full.mode = Mode::Mascot;
+        assert!(full.predict(PC, 0, None).0.is_bypass());
+        // ...but the MDP-only mode still demotes, on both probe paths.
+        assert!(!p.predict(PC, 0, None).0.is_bypass());
+        let mut batch = Vec::new();
+        let req = PredictReq {
+            pc: PC,
+            store_seq: 0,
+            oracle: None,
+        };
+        p.predict_batch(&[req], &mut batch);
+        assert!(!batch[0].0.is_bypass());
+        // No bypasses, so no offset bypasses either.
+        let offset = small_cfg().with_offset_bypass();
+        assert!(Mascot::new(offset.clone()).unwrap().bypass_supports_offset());
+        assert!(!Mascot::mdp_only(offset).unwrap().bypass_supports_offset());
     }
 
     /// §IV-D: a false dependence allocates a non-dependence entry in a

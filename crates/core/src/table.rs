@@ -20,7 +20,6 @@
 //! workspace), so the sentinel is unreachable by construction.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Tag value marking an invalid (empty) way.
 ///
@@ -40,7 +39,7 @@ pub const INVALID_TAG: u64 = u64::MAX;
 /// t.try_insert(3, 0x7, 9, |_| false).unwrap();
 /// assert_eq!(*t.find(3, 0x7).unwrap().1, 9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AssocTable<P> {
     sets: usize,
     assoc: usize,

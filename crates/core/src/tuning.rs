@@ -8,10 +8,9 @@
 //! sizing (§VI-D).
 
 use mascot_stats::F1Accumulator;
-use serde::{Deserialize, Serialize};
 
 /// Per-slot F1 bookkeeping for all tables of a predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TuningState {
     tables: Vec<Vec<F1Accumulator>>,
 }

@@ -6,13 +6,11 @@
 //! predictor behind a single enum with a unified [`AnyMeta`].
 
 use mascot::history::BranchEvent;
-use mascot::mdp_only::MascotMdpOnly;
 use mascot::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq, TrainReq,
 };
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::mdp_tage::{MdpTage, MdpTageMeta};
 use crate::nosq::{NoSq, NoSqMeta};
@@ -22,7 +20,7 @@ use crate::randomized::RandomizedMascot;
 use crate::store_sets::StoreSets;
 
 /// Metadata variants for [`AnyPredictor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyMeta {
     /// MASCOT-family metadata.
     Mascot(MascotMeta),
@@ -37,14 +35,12 @@ pub enum AnyMeta {
 }
 
 /// A runtime-selected predictor, wrapping every kind evaluated in §VI.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum AnyPredictor {
-    /// MASCOT (MDP + SMB), or the Fig. 11 ablation when built without
-    /// non-dependence allocation.
+    /// MASCOT (MDP + SMB), or one of its modes: MDP only (Fig. 9) or the
+    /// Fig. 11 ablation without non-dependence allocation.
     Mascot(Mascot),
-    /// MASCOT used for MDP only (Fig. 9).
-    MascotMdp(MascotMdpOnly),
     /// PHAST (Kim & Ros 2024).
     Phast(Phast),
     /// NoSQ-style GShare MDP/SMB predictor.
@@ -70,7 +66,7 @@ const _: () = {
 
 /// Snapshot-payload variant tags for [`AnyPredictor`] — part of the
 /// persisted format, so the values are frozen: renumbering breaks every
-/// existing snapshot.
+/// existing snapshot. An MDP-only [`Mascot`] is written as `MASCOT_MDP`.
 mod variant {
     pub const MASCOT: u8 = 0;
     pub const MASCOT_MDP: u8 = 1;
@@ -84,12 +80,11 @@ mod variant {
 }
 
 impl AnyPredictor {
-    /// The wrapped MASCOT instance, if this is a MASCOT-family predictor
-    /// (used by the Figs. 13–14 tuning reports).
+    /// The wrapped MASCOT instance in any of its modes (used by the
+    /// Figs. 13–14 tuning reports).
     pub fn as_mascot(&self) -> Option<&Mascot> {
         match self {
             AnyPredictor::Mascot(m) => Some(m),
-            AnyPredictor::MascotMdp(m) => Some(m.inner()),
             _ => None,
         }
     }
@@ -99,7 +94,6 @@ impl AnyPredictor {
     pub fn entry_count(&self) -> u64 {
         match self {
             AnyPredictor::Mascot(p) => p.entry_count(),
-            AnyPredictor::MascotMdp(p) => p.entry_count(),
             AnyPredictor::Phast(p) => p.entry_count(),
             AnyPredictor::NoSq(p) => p.entry_count(),
             AnyPredictor::MdpTage(p) => p.entry_count(),
@@ -116,11 +110,11 @@ impl AnyPredictor {
         let mut w = SnapWriter::new();
         match self {
             AnyPredictor::Mascot(p) => {
-                w.u8(variant::MASCOT);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::MascotMdp(p) => {
-                w.u8(variant::MASCOT_MDP);
+                w.u8(if p.is_mdp_only() {
+                    variant::MASCOT_MDP
+                } else {
+                    variant::MASCOT
+                });
                 p.snap_encode(&mut w);
             }
             AnyPredictor::Phast(p) => {
@@ -162,7 +156,7 @@ impl AnyPredictor {
         let mut r = SnapReader::new(bytes);
         let p = match r.u8("predictor variant tag")? {
             variant::MASCOT => AnyPredictor::Mascot(Mascot::snap_decode(&mut r)?),
-            variant::MASCOT_MDP => AnyPredictor::MascotMdp(MascotMdpOnly::snap_decode(&mut r)?),
+            variant::MASCOT_MDP => AnyPredictor::Mascot(Mascot::snap_decode_mdp_only(&mut r)?),
             variant::PHAST => AnyPredictor::Phast(Phast::snap_decode(&mut r)?),
             variant::NOSQ => AnyPredictor::NoSq(NoSq::snap_decode(&mut r)?),
             variant::MDP_TAGE => AnyPredictor::MdpTage(MdpTage::snap_decode(&mut r)?),
@@ -188,7 +182,6 @@ impl AnyPredictor {
     pub fn merge_from(&mut self, other: &Self) -> Result<u64, SnapError> {
         match (self, other) {
             (AnyPredictor::Mascot(a), AnyPredictor::Mascot(b)) => a.merge_from(b),
-            (AnyPredictor::MascotMdp(a), AnyPredictor::MascotMdp(b)) => a.merge_from(b),
             (AnyPredictor::Phast(a), AnyPredictor::Phast(b)) => a.merge_from(b),
             (AnyPredictor::NoSq(a), AnyPredictor::NoSq(b)) => a.merge_from(b),
             (AnyPredictor::MdpTage(a), AnyPredictor::MdpTage(b)) => a.merge_from(b),
@@ -211,7 +204,6 @@ impl MemDepPredictor for AnyPredictor {
     fn name(&self) -> &'static str {
         match self {
             AnyPredictor::Mascot(p) => p.name(),
-            AnyPredictor::MascotMdp(p) => p.name(),
             AnyPredictor::Phast(p) => p.name(),
             AnyPredictor::NoSq(p) => p.name(),
             AnyPredictor::MdpTage(p) => p.name(),
@@ -230,10 +222,6 @@ impl MemDepPredictor for AnyPredictor {
     ) -> (MemDepPrediction, AnyMeta) {
         match self {
             AnyPredictor::Mascot(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Mascot(m))
-            }
-            AnyPredictor::MascotMdp(p) => {
                 let (pred, m) = p.predict(pc, store_seq, oracle);
                 (pred, AnyMeta::Mascot(m))
             }
@@ -281,9 +269,6 @@ impl MemDepPredictor for AnyPredictor {
         // the sequential scalar loop, preserving exact behaviour.
         match self {
             AnyPredictor::Mascot(p) => {
-                p.predict_batch_into(reqs, |pred, m| out.push((pred, AnyMeta::Mascot(m))));
-            }
-            AnyPredictor::MascotMdp(p) => {
                 p.predict_batch_into(reqs, |pred, m| out.push((pred, AnyMeta::Mascot(m))));
             }
             AnyPredictor::Phast(p) => {
@@ -338,15 +323,6 @@ impl MemDepPredictor for AnyPredictor {
                         p.train(r.pc, m, r.predicted, &r.outcome);
                     } else {
                         debug_assert!(false, "meta kind mismatch for mascot");
-                    }
-                }
-            }
-            AnyPredictor::MascotMdp(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::Mascot(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for mascot-mdp");
                     }
                 }
             }
@@ -413,7 +389,6 @@ impl MemDepPredictor for AnyPredictor {
     ) {
         match (self, meta) {
             (AnyPredictor::Mascot(p), AnyMeta::Mascot(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::MascotMdp(p), AnyMeta::Mascot(m)) => p.train(pc, m, predicted, outcome),
             (AnyPredictor::Phast(p), AnyMeta::Phast(m)) => p.train(pc, m, predicted, outcome),
             (AnyPredictor::NoSq(p), AnyMeta::NoSq(m)) => p.train(pc, m, predicted, outcome),
             (AnyPredictor::MdpTage(p), AnyMeta::MdpTage(m)) => p.train(pc, m, predicted, outcome),
@@ -436,7 +411,6 @@ impl MemDepPredictor for AnyPredictor {
     fn on_branch(&mut self, event: &BranchEvent) {
         match self {
             AnyPredictor::Mascot(p) => p.on_branch(event),
-            AnyPredictor::MascotMdp(p) => p.on_branch(event),
             AnyPredictor::Phast(p) => p.on_branch(event),
             AnyPredictor::NoSq(p) => p.on_branch(event),
             AnyPredictor::MdpTage(p) => p.on_branch(event),
@@ -450,7 +424,6 @@ impl MemDepPredictor for AnyPredictor {
     fn rewind_history(&mut self, recent: &[BranchEvent]) {
         match self {
             AnyPredictor::Mascot(p) => p.rewind_history(recent),
-            AnyPredictor::MascotMdp(p) => p.rewind_history(recent),
             AnyPredictor::Phast(p) => p.rewind_history(recent),
             AnyPredictor::NoSq(p) => p.rewind_history(recent),
             AnyPredictor::MdpTage(p) => p.rewind_history(recent),
@@ -464,7 +437,6 @@ impl MemDepPredictor for AnyPredictor {
     fn predict_store_wait(&mut self, pc: u64, store_seq: u64) -> Option<mascot::StoreDistance> {
         match self {
             AnyPredictor::Mascot(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::MascotMdp(p) => p.predict_store_wait(pc, store_seq),
             AnyPredictor::Phast(p) => p.predict_store_wait(pc, store_seq),
             AnyPredictor::NoSq(p) => p.predict_store_wait(pc, store_seq),
             AnyPredictor::MdpTage(p) => p.predict_store_wait(pc, store_seq),
@@ -478,7 +450,6 @@ impl MemDepPredictor for AnyPredictor {
     fn on_store_dispatch(&mut self, pc: u64, store_seq: u64) {
         match self {
             AnyPredictor::Mascot(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::MascotMdp(p) => p.on_store_dispatch(pc, store_seq),
             AnyPredictor::Phast(p) => p.on_store_dispatch(pc, store_seq),
             AnyPredictor::NoSq(p) => p.on_store_dispatch(pc, store_seq),
             AnyPredictor::MdpTage(p) => p.on_store_dispatch(pc, store_seq),
@@ -492,7 +463,6 @@ impl MemDepPredictor for AnyPredictor {
     fn bypass_supports_offset(&self) -> bool {
         match self {
             AnyPredictor::Mascot(p) => p.bypass_supports_offset(),
-            AnyPredictor::MascotMdp(p) => p.bypass_supports_offset(),
             AnyPredictor::Phast(p) => p.bypass_supports_offset(),
             AnyPredictor::NoSq(p) => p.bypass_supports_offset(),
             AnyPredictor::MdpTage(p) => p.bypass_supports_offset(),
@@ -506,7 +476,6 @@ impl MemDepPredictor for AnyPredictor {
     fn storage_bits(&self) -> u64 {
         match self {
             AnyPredictor::Mascot(p) => p.storage_bits(),
-            AnyPredictor::MascotMdp(p) => p.storage_bits(),
             AnyPredictor::Phast(p) => p.storage_bits(),
             AnyPredictor::NoSq(p) => p.storage_bits(),
             AnyPredictor::MdpTage(p) => p.storage_bits(),
@@ -520,7 +489,6 @@ impl MemDepPredictor for AnyPredictor {
     fn end_tuning_period(&mut self) {
         match self {
             AnyPredictor::Mascot(p) => p.end_tuning_period(),
-            AnyPredictor::MascotMdp(p) => p.end_tuning_period(),
             AnyPredictor::Phast(p) => p.end_tuning_period(),
             AnyPredictor::NoSq(p) => p.end_tuning_period(),
             AnyPredictor::MdpTage(p) => p.end_tuning_period(),
@@ -541,7 +509,7 @@ mod tests {
     fn names_are_distinct() {
         let ps = [
             AnyPredictor::Mascot(Mascot::new(MascotConfig::default()).unwrap()),
-            AnyPredictor::MascotMdp(MascotMdpOnly::new(MascotConfig::default()).unwrap()),
+            AnyPredictor::Mascot(Mascot::mdp_only(MascotConfig::default()).unwrap()),
             AnyPredictor::Phast(Phast::default()),
             AnyPredictor::NoSq(NoSq::default()),
             AnyPredictor::StoreSets(StoreSets::default()),
@@ -633,6 +601,11 @@ mod tests {
         assert!(AnyPredictor::from_snapshot_bytes(&[0xff]).is_err());
         // A stateless oracle body must be exactly empty.
         assert!(AnyPredictor::from_snapshot_bytes(&[6, 0]).is_err());
+        // The MDP-only tag over a Fig. 11 ablation body is not a payload
+        // any build writes.
+        let mut ablation = crate::kind::PredictorKind::TageNoNd.build().snapshot_bytes();
+        ablation[0] = variant::MASCOT_MDP;
+        assert!(AnyPredictor::from_snapshot_bytes(&ablation).is_err());
         let mut p = AnyPredictor::StoreSets(StoreSets::default());
         drive(&mut p, 50, 0x33);
         let bytes = p.snapshot_bytes();

@@ -11,9 +11,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use mascot::config::MascotConfig;
-use mascot::mdp_only::MascotMdpOnly;
 use mascot::predictor::Mascot;
-use serde::{Deserialize, Serialize};
 
 use crate::any::AnyPredictor;
 use crate::mdp_tage::MdpTage;
@@ -24,7 +22,7 @@ use crate::randomized::RandomizedMascot;
 use crate::store_sets::StoreSets;
 
 /// Every predictor configuration evaluated across the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// MASCOT, default 14 KiB geometry, MDP + SMB.
     Mascot,
@@ -82,8 +80,8 @@ impl PredictorKind {
             PredictorKind::Mascot => {
                 AnyPredictor::Mascot(Mascot::new(MascotConfig::default()).expect("valid preset"))
             }
-            PredictorKind::MascotMdp => AnyPredictor::MascotMdp(
-                MascotMdpOnly::new(MascotConfig::default()).expect("valid preset"),
+            PredictorKind::MascotMdp => AnyPredictor::Mascot(
+                Mascot::mdp_only(MascotConfig::default()).expect("valid preset"),
             ),
             PredictorKind::MascotOpt(tag_reduction) => {
                 let cfg = if tag_reduction == 0 {

@@ -16,13 +16,12 @@ use mascot::prediction::{
 use mascot::predictor::TableLookup;
 use mascot::table::AssocTable;
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Maximum tables supported by the fixed-size metadata.
 pub const MAX_TABLES: usize = 16;
 
 /// Configuration for [`MdpTage`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MdpTageConfig {
     /// History length per table (branches), starting at 0.
     pub history_lengths: Vec<u32>,
@@ -109,7 +108,7 @@ impl MdpTageConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MdpTageEntry {
     /// The repurposed 3-bit counter: store distance 1..=7.
     distance: u8,
@@ -136,7 +135,7 @@ impl MdpTageEntry {
 }
 
 /// Per-prediction metadata for [`MdpTage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MdpTageMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -155,7 +154,7 @@ pub struct MdpTageMeta {
 /// // 4K entries × (16-bit tag + 3-bit distance + 1 u bit) = 10 KiB.
 /// assert!((p.storage_kib() - 10.0).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdpTage {
     cfg: MdpTageConfig,
     tables: Vec<AssocTable<MdpTageEntry>>,

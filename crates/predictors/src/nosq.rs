@@ -21,10 +21,9 @@ use mascot::predictor::TableLookup;
 use mascot::table::AssocTable;
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`NoSq`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoSqConfig {
     /// Entries per table (Table II: 2048 each, 4096 total).
     pub entries_per_table: u32,
@@ -93,7 +92,7 @@ impl NoSqConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct NoSqEntry {
     distance: u8,
     confidence: SaturatingCounter,
@@ -126,7 +125,7 @@ impl NoSqEntry {
 }
 
 /// Which table provided a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Provider {
     PathDependent,
     PathIndependent,
@@ -134,7 +133,7 @@ enum Provider {
 }
 
 /// Per-prediction metadata for [`NoSq`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoSqMeta {
     path_dep: TableLookup,
     path_indep: TableLookup,
@@ -153,7 +152,7 @@ pub struct NoSqMeta {
 /// assert!((p.storage_kib() - 19.0).abs() < 0.01); // Table II
 /// assert!(p.bypass_supports_offset());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoSq {
     cfg: NoSqConfig,
     path_dep: AssocTable<NoSqEntry>,

@@ -10,7 +10,6 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction};
-use serde::{Deserialize, Serialize};
 
 /// A perfect memory-dependence predictor (no bypassing).
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// *optimal prediction* but not always optimal performance: stalling for a
 /// store that would have resolved in time costs a cycle that an "incorrect"
 /// speculation would have saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfectMdp;
 
 impl PerfectMdp {
@@ -65,7 +64,7 @@ impl MemDepPredictor for PerfectMdp {
 /// A perfect memory-dependence *and* bypassing predictor (Fig. 12's upper
 /// bound): bypasses every dependence whose value the store fully provides,
 /// including offset cases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfectMdpSmb;
 
 impl PerfectMdpSmb {

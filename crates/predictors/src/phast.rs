@@ -21,13 +21,12 @@ use mascot::predictor::TableLookup;
 use mascot::table::AssocTable;
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Maximum tables supported by the fixed-size metadata.
 pub const MAX_TABLES: usize = 16;
 
 /// Configuration for [`Phast`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhastConfig {
     /// History length per table (branches), starting at 0.
     pub history_lengths: Vec<u32>,
@@ -130,7 +129,7 @@ impl PhastConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PhastEntry {
     distance: u8,
     usefulness: SaturatingCounter,
@@ -165,7 +164,7 @@ impl PhastEntry {
 }
 
 /// Per-prediction metadata for [`Phast`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhastMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -190,7 +189,7 @@ impl PhastMeta {
 /// let p = Phast::default();
 /// assert!((p.storage_kib() - 14.5).abs() < 0.01); // Table II
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Phast {
     cfg: PhastConfig,
     tables: Vec<AssocTable<PhastEntry>>,

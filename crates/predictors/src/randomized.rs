@@ -34,7 +34,6 @@ use mascot::prediction::{
 };
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Deployment-default scramble key.
 ///
@@ -65,7 +64,7 @@ fn scramble(key: u64, pc: u64) -> u64 {
 }
 
 /// MASCOT behind keyed index randomization and noisy bypass confidence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomizedMascot {
     inner: Mascot,
     key: u64,
@@ -74,7 +73,6 @@ pub struct RandomizedMascot {
     /// instance continues the exact same coin sequence).
     noise_ctr: u64,
     /// Scratch for the batched probe (scrambled request copies).
-    #[serde(skip, default)]
     batch_scratch: Vec<PredictReq>,
 }
 

@@ -18,10 +18,9 @@ use mascot::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
 };
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`StoreSets`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreSetsConfig {
     /// SSIT entries (direct mapped; power of two). Table II uses 8192.
     pub ssit_entries: usize,
@@ -59,7 +58,7 @@ impl Default for StoreSetsConfig {
 /// let p = StoreSets::default();
 /// assert!((p.storage_kib() - 18.5).abs() < 0.01); // Table II
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreSets {
     cfg: StoreSetsConfig,
     /// SSID per PC slot; [`NO_SSID`] = invalid. Flat sentinel layout (no

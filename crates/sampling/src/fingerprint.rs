@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mascot_sim::{BypassClass, Uop, UopKind};
+use mascot_sim::{Uop, UopKind};
 
 /// Number of log2 store-distance histogram buckets: distance 1, 2–3, 4–7,
 /// …, 64–127, and a final ≥128 bucket (beyond every predictor's
@@ -81,12 +81,7 @@ pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
                 lines.push(addr >> 6);
                 if let Some(dep) = dep {
                     aliased += 1;
-                    classes[match dep.class {
-                        BypassClass::DirectBypass => 0,
-                        BypassClass::NoOffset => 1,
-                        BypassClass::Offset => 2,
-                        BypassClass::MdpOnly => 3,
-                    }] += 1;
+                    classes[usize::from(dep.class.code())] += 1;
                     dist_hist[distance_bucket(dep.distance)] += 1;
                 }
             }
@@ -133,7 +128,7 @@ pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mascot_sim::TraceDep;
+    use mascot_sim::{BypassClass, TraceDep};
 
     fn pattern() -> Vec<Uop> {
         let dep = TraceDep {

@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use mascot::MemDepPredictor;
 use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_snapshot::SnapshotFile;
 
@@ -830,11 +831,9 @@ pub fn predictors_from_snapshot(
     // The container's kind label covers the file as a whole; each payload
     // also self-describes its variant, and a hand-assembled container could
     // disagree with itself. A heterogeneous pool must never be built — even
-    // when the counts match and no merge would force the issue.
-    if let Some(mixed) = decoded
-        .iter()
-        .position(|p| std::mem::discriminant(p) != std::mem::discriminant(&decoded[0]))
-    {
+    // when the counts match and no merge would force the issue. Names,
+    // unlike enum variants, also tell MASCOT's modes apart.
+    if let Some(mixed) = decoded.iter().position(|p| p.name() != decoded[0].name()) {
         return Err(format!(
             "shard {mixed} payload holds a different predictor kind than shard 0"
         ));

@@ -418,25 +418,6 @@ fn batch_len(len: usize) -> Result<u16, WireError> {
     Ok(len as u16)
 }
 
-fn class_code(c: BypassClass) -> u8 {
-    match c {
-        BypassClass::DirectBypass => 0,
-        BypassClass::NoOffset => 1,
-        BypassClass::Offset => 2,
-        BypassClass::MdpOnly => 3,
-    }
-}
-
-fn class_from(code: u8) -> Result<BypassClass, WireError> {
-    Ok(match code {
-        0 => BypassClass::DirectBypass,
-        1 => BypassClass::NoOffset,
-        2 => BypassClass::Offset,
-        3 => BypassClass::MdpOnly,
-        _ => return Err(WireError::Corrupt("bypass class")),
-    })
-}
-
 fn put_prediction(out: &mut Vec<u8>, p: MemDepPrediction) {
     let (tag, dist) = match p {
         MemDepPrediction::NoDependence => (0u8, 0u8),
@@ -476,7 +457,7 @@ fn put_outcome(out: &mut Vec<u8>, o: &LoadOutcome) {
         Some(d) => {
             out.push(1);
             out.push(d.distance.get());
-            out.push(class_code(d.class));
+            out.push(d.class.code());
             out.extend_from_slice(&d.store_pc.to_le_bytes());
             out.extend_from_slice(&d.branches_between.to_le_bytes());
         }
@@ -494,7 +475,7 @@ fn get_outcome(r: &mut Reader<'_>) -> Result<LoadOutcome, WireError> {
         1 => Ok(LoadOutcome::dependent(ObservedDependence {
             distance: StoreDistance::new(u32::from(dist))
                 .ok_or(WireError::Corrupt("outcome distance out of range"))?,
-            class: class_from(class)?,
+            class: BypassClass::from_code(class).ok_or(WireError::Corrupt("bypass class"))?,
             store_pc,
             branches_between,
         })),

@@ -11,10 +11,9 @@
 use mascot::history::{rewind_hashers, BranchEvent, BranchKind, GlobalHistory, TableHasher};
 use mascot::table::AssocTable;
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`TagePredictor`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
     /// Bimodal (base) predictor entries (power of two).
     pub bimodal_entries: usize,
@@ -44,7 +43,7 @@ impl Default for BranchPredictorConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TageEntry {
     /// 3-bit direction counter; taken when >= 4.
     ctr: SaturatingCounter,
@@ -53,7 +52,7 @@ struct TageEntry {
 }
 
 /// A TAGE branch-direction predictor with an indirect-target side table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagePredictor {
     bimodal: Vec<SaturatingCounter>,
     tables: Vec<AssocTable<TageEntry>>,
@@ -67,7 +66,7 @@ pub struct TagePredictor {
 }
 
 /// Branch predictor statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Conditional branches predicted.
     pub conditional: u64,

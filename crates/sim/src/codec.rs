@@ -98,25 +98,6 @@ fn get_reg(r: u8) -> Option<u8> {
     (r != NO_REG).then_some(r)
 }
 
-fn class_code(c: BypassClass) -> u8 {
-    match c {
-        BypassClass::DirectBypass => 0,
-        BypassClass::NoOffset => 1,
-        BypassClass::Offset => 2,
-        BypassClass::MdpOnly => 3,
-    }
-}
-
-fn class_from(code: u8) -> Result<BypassClass, CodecError> {
-    Ok(match code {
-        0 => BypassClass::DirectBypass,
-        1 => BypassClass::NoOffset,
-        2 => BypassClass::Offset,
-        3 => BypassClass::MdpOnly,
-        _ => return Err(CodecError::Corrupt("bypass class")),
-    })
-}
-
 /// Encodes a trace into the binary format.
 pub fn encode(trace: &Trace) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + trace.len() * 16);
@@ -143,7 +124,7 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
                     Some(d) => {
                         out.push(1);
                         out.extend_from_slice(&d.distance.to_le_bytes());
-                        out.push(class_code(d.class));
+                        out.push(d.class.code());
                         out.extend_from_slice(&d.store_pc.to_le_bytes());
                         out.extend_from_slice(&d.branches_between.to_le_bytes());
                     }
@@ -216,7 +197,8 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
                     0 => None,
                     1 => Some(TraceDep {
                         distance: r.u32()?,
-                        class: class_from(r.u8()?)?,
+                        class: BypassClass::from_code(r.u8()?)
+                            .ok_or(CodecError::Corrupt("bypass class"))?,
                         store_pc: r.u64()?,
                         branches_between: r.u32()?,
                     }),

@@ -10,7 +10,6 @@
 
 use mascot::history::BranchKind;
 use mascot::prediction::BypassClass;
-use serde::{Deserialize, Serialize};
 
 /// An architectural register name (the generator uses 0..=63).
 pub type ArchReg = u8;
@@ -19,7 +18,7 @@ pub type ArchReg = u8;
 pub const NUM_ARCH_REGS: usize = 64;
 
 /// Static ground truth about a load's memory dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceDep {
     /// Program-order store distance to the youngest prior store writing any
     /// byte this load reads (1 = immediately preceding store). May exceed
@@ -37,7 +36,7 @@ pub struct TraceDep {
 }
 
 /// The operation class of a micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UopKind {
     /// An arithmetic/logic operation (execution latency in [`Uop::latency`]).
     Alu,
@@ -88,7 +87,7 @@ impl UopKind {
 }
 
 /// One micro-op of the committed path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Uop {
     /// Instruction address.
     pub pc: u64,
@@ -182,7 +181,7 @@ impl Uop {
 }
 
 /// A committed-path micro-op trace with a name for reporting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Workload name (e.g. `"perlbench2"`).
     pub name: String,

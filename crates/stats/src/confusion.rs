@@ -6,8 +6,6 @@
 //! per-entry bookkeeping object; [`ConfusionMatrix`] is the general-purpose
 //! matrix also used for predictor-level accuracy reporting (Fig. 8).
 
-use serde::{Deserialize, Serialize};
-
 /// A binary confusion matrix with true/false positive/negative counts.
 ///
 /// For memory-dependence prediction the convention throughout this
@@ -32,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.false_positives(), 1);
 /// assert!((m.precision() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     tp: u64,
     fp: u64,
@@ -146,7 +144,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// matrix, exactly as the tuning methodology describes ("the values are
 /// recorded and the F1 scores are reset. The recording from each period is
 /// averaged together").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct F1Accumulator {
     current: ConfusionMatrix,
     f1_sum: f64,

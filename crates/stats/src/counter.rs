@@ -6,7 +6,6 @@
 //! and the direction counters of the TAGE branch predictor.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// An unsigned saturating counter with a compile-time-unknown bit width.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// c.reset();
 /// assert_eq!(c.value(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

@@ -195,12 +195,7 @@ fn sample_class(rng: &mut StdRng, mix: &[f64; 4]) -> BypassClass {
     for (i, &w) in mix.iter().enumerate() {
         x -= w;
         if x <= 0.0 {
-            return match i {
-                0 => BypassClass::DirectBypass,
-                1 => BypassClass::NoOffset,
-                2 => BypassClass::Offset,
-                _ => BypassClass::MdpOnly,
-            };
+            return BypassClass::ALL[i];
         }
     }
     BypassClass::DirectBypass

@@ -10,14 +10,12 @@
 //!    (conditional-store hammocks — the paper's §III-A motif), and
 //! 4. the *size/alignment class* of each pair (the Fig. 2 census).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-class weights for dependent load/store pairs, in Fig. 2 order:
 /// `[DirectBypass, NoOffset, Offset, MdpOnly]`.
 pub type ClassMix = [f64; 4];
 
 /// The shape of one synthetic benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name as reported in the paper's figures.
     pub name: &'static str,

@@ -5,8 +5,9 @@
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
 # Fails if the build (warnings are errors) or any workspace test fails, if
-# the reduced-length evaluation output drifts from the committed
-# experiments_output_12k.txt, if the seeded audit soak (cycle-granular
+# the reduced-length evaluation output (full or --sampled) drifts from the
+# committed experiments_output_12k.txt / experiments_output_12k_sampled.txt,
+# if the seeded audit soak (cycle-granular
 # invariant checks, the batch-vs-scalar prediction differential over every
 # registered predictor kind, and differential runs across every workload
 # profile and the mistraining compositions) flags a violation, if the
@@ -69,6 +70,19 @@ MASCOT_TRACE_UOPS=12000 ./target/release/all_experiments \
     | diff -u experiments_output_12k.txt - \
     || { echo "evaluation output drifted from experiments_output_12k.txt"; exit 1; }
 echo "drift gate ok"
+
+echo "== sampled drift gate (--sampled output vs experiments_output_12k_sampled.txt) =="
+# The same evaluation in sampled mode (cluster-and-project with functional
+# warm-up, which the full-mode gate above never runs) must match its own
+# committed capture byte for byte. Regenerate on intentional model changes
+# with
+#   MASCOT_TRACE_UOPS=12000 target/release/all_experiments --sampled \
+#       | sed '/^all experiments completed in/d' > experiments_output_12k_sampled.txt
+MASCOT_TRACE_UOPS=12000 ./target/release/all_experiments --sampled \
+    | sed '/^all experiments completed in/d' \
+    | diff -u experiments_output_12k_sampled.txt - \
+    || { echo "sampled evaluation output drifted from experiments_output_12k_sampled.txt"; exit 1; }
+echo "sampled drift gate ok"
 
 echo "== audit soak (batch differential + seeded, all workload profiles) =="
 # Starts with the batch-vs-scalar equivalence differential for every

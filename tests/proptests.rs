@@ -115,12 +115,7 @@ fn predictors_survive_arbitrary_training() {
             let outcome = if rng.random::<bool>() {
                 LoadOutcome::independent()
             } else {
-                let class = match below(&mut rng, 4) {
-                    0 => BypassClass::DirectBypass,
-                    1 => BypassClass::NoOffset,
-                    2 => BypassClass::Offset,
-                    _ => BypassClass::MdpOnly,
-                };
+                let class = BypassClass::ALL[below(&mut rng, 4) as usize];
                 LoadOutcome::dependent(ObservedDependence {
                     distance: StoreDistance::new(1 + below(&mut rng, 99) as u32).unwrap(),
                     class,

@@ -17,7 +17,7 @@ use mascot::prediction::{
 };
 use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_serve::predictors_from_snapshot;
-use mascot_snapshot::{SnapError, SnapshotFile};
+use mascot_snapshot::{fnv1a64, SnapError, SnapshotFile};
 
 /// Distinct load PCs the cluster is warmed (and later probed) on.
 const NUM_PCS: u64 = 48;
@@ -194,14 +194,20 @@ fn predictor_payload_truncation_fails_closed_for_every_kind() {
 
 #[test]
 fn mixed_kind_shard_payloads_are_rejected() {
-    let mascot = warm_cluster(PredictorKind::Mascot, 1, 200, 1).remove(0);
-    let phast = warm_cluster(PredictorKind::Phast, 1, 200, 1).remove(0);
-    let shards = vec![mascot.snapshot_bytes(), phast.snapshot_bytes()];
-    // Rejected on the exact-count path (no merge would have caught it)...
-    let err = predictors_from_snapshot(&shards, 2).expect_err("mixed kinds");
-    assert!(err.contains("different predictor kind"), "got: {err}");
-    // ...and on the merge path.
-    assert!(predictors_from_snapshot(&shards, 1).is_err());
+    // MASCOT against MDP-only MASCOT: same tables, different kind.
+    for (a, b) in [
+        (PredictorKind::Mascot, PredictorKind::Phast),
+        (PredictorKind::Mascot, PredictorKind::MascotMdp),
+    ] {
+        let first = warm_cluster(a, 1, 200, 1).remove(0);
+        let second = warm_cluster(b, 1, 200, 1).remove(0);
+        let shards = vec![first.snapshot_bytes(), second.snapshot_bytes()];
+        // Rejected on the exact-count path (no merge would have caught it)...
+        let err = predictors_from_snapshot(&shards, 2).expect_err("mixed kinds");
+        assert!(err.contains("different predictor kind"), "got: {err}");
+        // ...and on the merge path.
+        assert!(predictors_from_snapshot(&shards, 1).is_err());
+    }
 }
 
 #[test]
@@ -240,5 +246,34 @@ fn resharding_matches_the_union_merge_on_every_target() {
     for (restored, original) in exact.iter().zip(&originals) {
         assert_eq!(restored.snapshot_bytes(), original.snapshot_bytes());
         assert_eq!(restored.entry_count(), original.entry_count());
+    }
+}
+
+#[test]
+fn snapshot_payloads_are_frozen_for_every_kind() {
+    // fnv1a64 of each kind's payload after a fixed warm-up. The payload
+    // format (variant tags included) is frozen: a snapshot written by an
+    // earlier build must still decode to the same state, so a change to any
+    // of these is a format break, not a re-pin.
+    const FROZEN: [(&str, u64); 11] = [
+        ("mascot", 0xa05cbac01674650d),
+        ("mascot-mdp", 0x597c6e25ba3513b2),
+        ("mascot-opt", 0x360306098b1b692d),
+        ("tage-no-nd", 0x6239f2f3fc167b3c),
+        ("phast", 0x50838d45f9c51958),
+        ("nosq", 0xcff66aff2ddcc738),
+        ("mdp-tage", 0xb060c8e401f5d606),
+        ("store-sets", 0x6d0e6b75bc91eaa4),
+        ("perfect-mdp", 0xaf63bb4c8601b479),
+        ("perfect-mdp-smb", 0xaf63ba4c8601b2c6),
+        ("randomized-mascot", 0x35b2a3dade9dbec7),
+    ];
+    assert_eq!(PredictorKind::ALL.len(), FROZEN.len());
+    for (kind, (label, frozen)) in PredictorKind::ALL.into_iter().zip(FROZEN) {
+        assert_eq!(kind.label(), label);
+        let bytes = warm_cluster(kind, 1, 400, 0xFACE).remove(0).snapshot_bytes();
+        assert_eq!(fnv1a64(&bytes), frozen, "{label}: snapshot payload changed");
+        let decoded = AnyPredictor::from_snapshot_bytes(&bytes).expect("clean payload decodes");
+        assert_eq!(decoded.snapshot_bytes(), bytes, "{label}: re-encode differs");
     }
 }
