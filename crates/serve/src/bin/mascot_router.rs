@@ -9,69 +9,19 @@
 //!
 //! The router speaks the same `MSRV` wire protocol as `mascotd` on both
 //! sides, so any client (the load generator, the integration tests) can
-//! point at it unchanged. Each `Predict`/`Train` batch is split by a hash
-//! of the load PC into per-node sub-batches, forwarded, and reassembled in
-//! request order. The PC→node map is *static* over the configured primary
-//! list — a node that dies does not reshuffle the survivors' slices
-//! (their predictor state is PC-local); only the dead node's slice fails
-//! over to the `--replica`, which starts cold and warms up from the
-//! redirected training traffic.
-//!
-//! Failure handling, in order:
-//!
-//! * `Busy` from a node: retried with bounded exponential backoff; if the
-//!   node stays busy the whole frame is answered `Busy` (the client
-//!   already handles backpressure).
-//! * I/O error (or connect failure) to a node: the node is marked down —
-//!   sticky, because its state diverges from the replica's the moment
-//!   traffic is redirected — and the sub-batch is re-sent to the replica,
-//!   so the client sees a complete answer and loses nothing.
-//! * A background thread health-checks every live node each
-//!   `--health-interval-ms` (default 200) with a `Stats` ping, so nodes
-//!   that die between requests are caught early.
-//!
-//! `Stats` through the router reports router-side per-backend counters
-//! (one pseudo-shard per primary plus one for the replica): the numbers
-//! survive a killed node, which per-node counters would not. `Shutdown`
-//! broadcasts to every reachable backend, sums their served counts, then
-//! stops the router. `Snapshot`/`Restore` are per-node operations and are
-//! rejected with an error directing the caller at a node.
+//! point at it unchanged. It runs on `mascotd`'s own event loop, with
+//! each node as one shard ([`mascot_serve::router`] has the worker model,
+//! failover and `Stats`/`Shutdown` semantics); this binary only parses
+//! arguments and starts it.
 
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use mascot_serve::wire::{
-    self, PredictItem, PredictReply, Request, Response, ShardStats, StatsReport, TrainItem,
-};
-use mascot_serve::Client;
-
-/// Attempts per sub-batch before a persistent `Busy` is surfaced.
-const BUSY_RETRIES: u32 = 25;
-/// Base backoff between busy retries (doubles, capped at 2^8 × base).
-const BUSY_BACKOFF: Duration = Duration::from_micros(100);
-
-/// PC→node multiplier. Deliberately a different odd constant from the
-/// shard router inside `mascotd` (`shard.rs`), so the node index and the
-/// shard index of a PC stay decorrelated: with the same constant and
-/// `nodes == shards`, every PC routed to node `i` would also land on
-/// shard `i` of that node, idling the other shards.
-const NODE_HASH_MUL: u64 = 0xd1b5_4a32_d192_ed03;
-
-/// Which backend a PC belongs to.
-fn node_of(pc: u64, nodes: usize) -> usize {
-    ((pc.wrapping_mul(NODE_HASH_MUL) >> 32) % nodes as u64) as usize
-}
+use mascot_serve::router::{self, RouterConfig};
 
 struct Args {
-    addr: String,
-    nodes: Vec<String>,
-    replica: Option<String>,
+    cfg: RouterConfig,
     port_file: Option<String>,
-    health_interval: Duration,
 }
 
 fn usage() -> &'static str {
@@ -86,11 +36,8 @@ fn usage() -> &'static str {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        addr: "127.0.0.1:0".to_string(),
-        nodes: Vec::new(),
-        replica: None,
+        cfg: RouterConfig::default(),
         port_file: None,
-        health_interval: Duration::from_millis(200),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -99,9 +46,9 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--node" => args.nodes.push(value("--node")?),
-            "--replica" => args.replica = Some(value("--replica")?),
+            "--addr" => args.cfg.addr = value("--addr")?,
+            "--node" => args.cfg.nodes.push(value("--node")?),
+            "--replica" => args.cfg.replica = Some(value("--replica")?),
             "--port-file" => args.port_file = Some(value("--port-file")?),
             "--health-interval-ms" => {
                 let ms = value("--health-interval-ms")?;
@@ -110,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
                     .ok()
                     .filter(|&n| n > 0)
                     .ok_or_else(|| format!("--health-interval-ms must be positive, got {ms:?}"))?;
-                args.health_interval = Duration::from_millis(ms);
+                args.cfg.health_interval = Duration::from_millis(ms);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -119,336 +66,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.nodes.is_empty() {
+    if args.cfg.nodes.is_empty() {
         return Err("at least one --node is required".to_string());
     }
     Ok(args)
-}
-
-/// Router-side per-backend counters; reported as one pseudo-shard each so
-/// the aggregate survives a killed node.
-#[derive(Default)]
-struct BackendCounters {
-    requests: AtomicU64,
-    predicts: AtomicU64,
-    trains: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// Shared cluster state: the static node list, sticky down flags, and the
-/// counters behind the router's `Stats` response.
-struct Cluster {
-    node_addrs: Vec<String>,
-    down: Vec<AtomicBool>,
-    replica_addr: Option<String>,
-    /// One per primary, plus one trailing slot for the replica.
-    counters: Vec<BackendCounters>,
-    failovers: AtomicU64,
-    shutting_down: AtomicBool,
-}
-
-impl Cluster {
-    fn new(args: &Args) -> Cluster {
-        let n = args.nodes.len();
-        Cluster {
-            node_addrs: args.nodes.clone(),
-            down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            replica_addr: args.replica.clone(),
-            counters: (0..n + 1).map(|_| BackendCounters::default()).collect(),
-            failovers: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-        }
-    }
-
-    /// Marks a node down; true if this call did the transition (log once).
-    fn mark_down(&self, node: usize) -> bool {
-        !self.down[node].swap(true, Ordering::Relaxed)
-    }
-
-    /// The counter slot serving `backend` (replica = trailing slot).
-    fn counters_of(&self, backend: Backend) -> &BackendCounters {
-        match backend {
-            Backend::Primary(i) => &self.counters[i],
-            Backend::Replica => &self.counters[self.node_addrs.len()],
-        }
-    }
-}
-
-/// Who ended up serving a sub-batch.
-#[derive(Clone, Copy)]
-enum Backend {
-    Primary(usize),
-    Replica,
-}
-
-/// Outcome of forwarding one sub-batch.
-enum Forwarded {
-    Ok(Response, Backend),
-    Busy,
-    Failed(String),
-}
-
-/// Per-connection upstream clients, connected lazily. Each router
-/// connection keeps its own, so one slow downstream client cannot
-/// head-of-line-block another's forwards.
-struct Upstreams {
-    primaries: Vec<Option<Client>>,
-    replica: Option<Client>,
-}
-
-impl Upstreams {
-    fn new(n: usize) -> Upstreams {
-        Upstreams {
-            primaries: (0..n).map(|_| None).collect(),
-            replica: None,
-        }
-    }
-}
-
-/// Sends `req` on `slot` (connecting to `addr` first if needed), retrying
-/// bounded times while the backend answers `Busy`. An I/O error drops the
-/// cached connection and is returned for the caller's failover decision.
-fn send_retrying(
-    slot: &mut Option<Client>,
-    addr: &str,
-    req: &Request,
-) -> Result<Response, String> {
-    for attempt in 0u32..BUSY_RETRIES {
-        if slot.is_none() {
-            *slot = Some(Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?);
-        }
-        let client = slot.as_mut().expect("just connected");
-        match client.request(req) {
-            Ok(Response::Busy) => {
-                std::thread::sleep(BUSY_BACKOFF * (1 << attempt.min(8)));
-            }
-            Ok(resp) => return Ok(resp),
-            Err(e) => {
-                *slot = None;
-                return Err(format!("{addr}: {e}"));
-            }
-        }
-    }
-    Ok(Response::Busy)
-}
-
-/// Forwards a sub-batch to its primary, failing over to the replica when
-/// the primary is down or dies mid-request.
-fn forward(cluster: &Cluster, ups: &mut Upstreams, node: usize, req: &Request) -> Forwarded {
-    if !cluster.down[node].load(Ordering::Relaxed) {
-        let addr = cluster.node_addrs[node].clone();
-        match send_retrying(&mut ups.primaries[node], &addr, req) {
-            Ok(Response::Busy) => return Forwarded::Busy,
-            Ok(resp) => return Forwarded::Ok(resp, Backend::Primary(node)),
-            Err(e) => {
-                if cluster.mark_down(node) {
-                    eprintln!("mascot-router: node {node} ({addr}) marked down: {e}");
-                }
-                cluster.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    let Some(replica_addr) = cluster.replica_addr.clone() else {
-        return Forwarded::Failed(format!(
-            "node {node} ({}) is down and no --replica is configured",
-            cluster.node_addrs[node]
-        ));
-    };
-    match send_retrying(&mut ups.replica, &replica_addr, req) {
-        Ok(Response::Busy) => Forwarded::Busy,
-        Ok(resp) => Forwarded::Ok(resp, Backend::Replica),
-        Err(e) => Forwarded::Failed(format!("replica {e} (after node {node} failed)")),
-    }
-}
-
-/// Splits a predict batch by PC, forwards each sub-batch, and reassembles
-/// the replies in request order.
-fn route_predict(cluster: &Cluster, ups: &mut Upstreams, items: &[PredictItem]) -> Response {
-    let n = cluster.node_addrs.len();
-    let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, item) in items.iter().enumerate() {
-        by_node[node_of(item.pc, n)].push(i);
-    }
-    let mut out: Vec<Option<PredictReply>> = vec![None; items.len()];
-    for (node, idxs) in by_node.iter().enumerate() {
-        if idxs.is_empty() {
-            continue;
-        }
-        let sub: Vec<PredictItem> = idxs.iter().map(|&i| items[i]).collect();
-        match forward(cluster, ups, node, &Request::Predict(sub)) {
-            Forwarded::Ok(Response::Predict(replies), backend)
-                if replies.len() == idxs.len() =>
-            {
-                let counters = cluster.counters_of(backend);
-                counters.requests.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                counters.predicts.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                for (&i, reply) in idxs.iter().zip(&replies) {
-                    out[i] = Some(*reply);
-                }
-            }
-            Forwarded::Ok(..) => {
-                return Response::Error(format!("node {node} answered predict with a mismatch"));
-            }
-            Forwarded::Busy => {
-                cluster.counters[node]
-                    .rejected
-                    .fetch_add(items.len() as u64, Ordering::Relaxed);
-                return Response::Busy;
-            }
-            Forwarded::Failed(e) => return Response::Error(format!("predict failed: {e}")),
-        }
-    }
-    Response::Predict(out.into_iter().map(|r| r.expect("every index filled")).collect())
-}
-
-/// Splits a train batch by PC and sums the per-node apply/stale counts.
-/// Tickets issued by a node that has since failed over land on the replica
-/// and count as stale — trained state is lost with the node, requests are
-/// not.
-fn route_train(cluster: &Cluster, ups: &mut Upstreams, items: &[TrainItem]) -> Response {
-    let n = cluster.node_addrs.len();
-    let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, item) in items.iter().enumerate() {
-        by_node[node_of(item.pc, n)].push(i);
-    }
-    let (mut applied, mut stale) = (0u32, 0u32);
-    for (node, idxs) in by_node.iter().enumerate() {
-        if idxs.is_empty() {
-            continue;
-        }
-        let sub: Vec<TrainItem> = idxs.iter().map(|&i| items[i]).collect();
-        match forward(cluster, ups, node, &Request::Train(sub)) {
-            Forwarded::Ok(Response::Train { applied: a, stale: s }, backend) => {
-                let counters = cluster.counters_of(backend);
-                counters.requests.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-                counters.trains.fetch_add(u64::from(a), Ordering::Relaxed);
-                applied += a;
-                stale += s;
-            }
-            Forwarded::Ok(..) => {
-                return Response::Error(format!("node {node} answered train with a mismatch"));
-            }
-            Forwarded::Busy => {
-                cluster.counters[node]
-                    .rejected
-                    .fetch_add(items.len() as u64, Ordering::Relaxed);
-                return Response::Busy;
-            }
-            Forwarded::Failed(e) => return Response::Error(format!("train failed: {e}")),
-        }
-    }
-    Response::Train { applied, stale }
-}
-
-/// The router's own `Stats`: one pseudo-shard per primary plus one for the
-/// replica, from router-side counters (they survive a killed node).
-fn router_stats(cluster: &Cluster) -> Response {
-    let shards = cluster
-        .counters
-        .iter()
-        .map(|c| ShardStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            predicts: c.predicts.load(Ordering::Relaxed),
-            trains: c.trains.load(Ordering::Relaxed),
-            rejected_full: c.rejected.load(Ordering::Relaxed),
-            ..ShardStats::default()
-        })
-        .collect();
-    Response::Stats(StatsReport { shards })
-}
-
-/// Broadcasts `Shutdown` to every reachable backend, sums the served
-/// counts, and flags the router itself to stop accepting.
-fn broadcast_shutdown(cluster: &Cluster, ups: &mut Upstreams) -> Response {
-    let mut served = 0u64;
-    let mut reached = 0usize;
-    let replica_slot = cluster.replica_addr.iter().map(|a| (a.clone(), usize::MAX));
-    let targets: Vec<(String, usize)> = cluster
-        .node_addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a.clone(), i))
-        .chain(replica_slot)
-        .collect();
-    for (addr, idx) in targets {
-        if idx != usize::MAX && cluster.down[idx].load(Ordering::Relaxed) {
-            continue;
-        }
-        let slot = if idx == usize::MAX {
-            &mut ups.replica
-        } else {
-            &mut ups.primaries[idx]
-        };
-        match send_retrying(slot, &addr, &Request::Shutdown) {
-            Ok(Response::Shutdown { served: s }) => {
-                served += s;
-                reached += 1;
-            }
-            Ok(_) | Err(_) => {
-                // A backend that dies during shutdown has nothing left to
-                // drain; the router still stops cleanly.
-            }
-        }
-    }
-    eprintln!("mascot-router: shutdown broadcast reached {reached} backends");
-    cluster.shutting_down.store(true, Ordering::Relaxed);
-    Response::Shutdown { served }
-}
-
-/// Serves one downstream connection until it closes or the router stops.
-fn handle_conn(mut stream: TcpStream, cluster: &Cluster) {
-    let _ = stream.set_nodelay(true);
-    let mut ups = Upstreams::new(cluster.node_addrs.len());
-    loop {
-        let (code, payload) = match wire::read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return,
-        };
-        let resp = match Request::decode(code, &payload) {
-            // A decode failure consumed a complete frame, so the stream is
-            // still in sync and the connection can keep going.
-            Err(e) => Response::Error(format!("bad request: {e}")),
-            Ok(Request::Predict(items)) => route_predict(cluster, &mut ups, &items),
-            Ok(Request::Train(items)) => route_train(cluster, &mut ups, &items),
-            Ok(Request::Stats) => router_stats(cluster),
-            Ok(Request::Shutdown) => broadcast_shutdown(cluster, &mut ups),
-            Ok(Request::Snapshot | Request::Restore(_)) => Response::Error(
-                "snapshot/restore are per-node operations: address a mascotd directly"
-                    .to_string(),
-            ),
-        };
-        let frame = match resp.encode_frame() {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        if stream.write_all(&frame).is_err() {
-            return;
-        }
-        if cluster.shutting_down.load(Ordering::Relaxed) {
-            return;
-        }
-    }
-}
-
-/// Pings every live node with `Stats` each interval; a node that fails the
-/// ping is marked down so the next request fails over without paying for
-/// the discovery itself.
-fn health_loop(cluster: &Cluster, interval: Duration) {
-    while !cluster.shutting_down.load(Ordering::Relaxed) {
-        for (node, addr) in cluster.node_addrs.iter().enumerate() {
-            if cluster.down[node].load(Ordering::Relaxed) {
-                continue;
-            }
-            let healthy = Client::connect(addr)
-                .ok()
-                .and_then(|mut c| c.stats().ok())
-                .is_some();
-            if !healthy && cluster.mark_down(node) {
-                eprintln!("mascot-router: health check: node {node} ({addr}) marked down");
-            }
-        }
-        std::thread::sleep(interval);
-    }
 }
 
 fn main() -> ExitCode {
@@ -459,113 +80,36 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cluster = Arc::new(Cluster::new(&args));
-
-    let listener = match TcpListener::bind(&args.addr) {
-        Ok(l) => l,
+    let mut server = match router::bind(&args.cfg) {
+        Ok(s) => s,
         Err(e) => {
-            eprintln!("mascot-router: failed to bind {}: {e}", args.addr);
+            eprintln!("mascot-router: failed to bind {}: {e}", args.cfg.addr);
             return ExitCode::FAILURE;
         }
     };
-    let addr = match listener.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("mascot-router: local_addr failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if listener.set_nonblocking(true).is_err() {
-        eprintln!("mascot-router: cannot set the listener non-blocking");
-        return ExitCode::FAILURE;
-    }
+    let addr = server.local_addr();
     eprintln!(
         "mascot-router: {} nodes{} on {addr}",
-        cluster.node_addrs.len(),
-        if cluster.replica_addr.is_some() {
+        args.cfg.nodes.len(),
+        if args.cfg.replica.is_some() {
             " + replica"
         } else {
             ""
         }
     );
-    if let Some(path) = &args.port_file {
-        if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
-            eprintln!("mascot-router: failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let health = {
-        let cluster = Arc::clone(&cluster);
-        let interval = args.health_interval;
-        std::thread::spawn(move || health_loop(&cluster, interval))
-    };
-
-    let mut conns = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let cluster = Arc::clone(&cluster);
-                conns.push(std::thread::spawn(move || handle_conn(stream, &cluster)));
+    if let Some(path) = args.port_file {
+        server.set_on_ready(Box::new(move || {
+            if let Err(e) = std::fs::write(&path, format!("{addr}\n")) {
+                eprintln!("mascot-router: failed to write {path}: {e}");
+                std::process::exit(1);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if cluster.shutting_down.load(Ordering::Relaxed) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                eprintln!("mascot-router: accept failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        }));
     }
-    for conn in conns {
-        let _ = conn.join();
-    }
-    let _ = health.join();
-
-    let routed: u64 = cluster
-        .counters
-        .iter()
-        .map(|c| c.requests.load(Ordering::Relaxed))
-        .sum();
-    let down = cluster
-        .down
-        .iter()
-        .filter(|d| d.load(Ordering::Relaxed))
-        .count();
+    let stats = server.run();
     eprintln!(
-        "mascot-router: stopped; routed {routed} items, {} failovers, {down} nodes down",
-        cluster.failovers.load(Ordering::Relaxed)
+        "mascot-router: stopped; routed {} items, {} via the replica",
+        stats.total_requests(),
+        stats.shards.last().map_or(0, |s| s.requests)
     );
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn node_map_is_total_and_stable() {
-        for nodes in 1..=5 {
-            for pc in (0x40_0000u64..0x40_1000).step_by(4) {
-                let n = node_of(pc, nodes);
-                assert!(n < nodes);
-                assert_eq!(n, node_of(pc, nodes), "stable for the same pc");
-            }
-        }
-    }
-
-    #[test]
-    fn node_map_spreads_across_nodes() {
-        let nodes = 3;
-        let mut hits = vec![0u32; nodes];
-        for i in 0..4096u64 {
-            hits[node_of(0x40_0000 + i * 4, nodes)] += 1;
-        }
-        for (node, &h) in hits.iter().enumerate() {
-            assert!(h > 4096 / 10, "node {node} got only {h}/4096 PCs");
-        }
-    }
 }

@@ -1,7 +1,8 @@
 //! A minimal synchronous client for the `mascot-serve` wire protocol.
 //!
 //! One [`Client`] owns one TCP connection and issues one request at a
-//! time; the load generator opens a client per thread. Convenience
+//! time, or pipelines several through [`Client::send`]/[`Client::recv`];
+//! the load generator opens a client per thread. Convenience
 //! wrappers return the typed payload and surface protocol-level `Busy` /
 //! `Error` responses as values rather than errors, since backpressure is
 //! an expected outcome the caller must handle.
@@ -10,13 +11,15 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::wire::{
-    self, PredictItem, PredictReply, Request, Response, StatsReport, TrainItem, WireError,
+    self, Opcode, PredictItem, PredictReply, Request, Response, StatsReport, TrainItem, WireError,
 };
 
 /// A connected `mascot-serve` client.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    /// Frames queued by [`Client::send`], written by the next `recv`.
+    out: Vec<u8>,
 }
 
 /// Outcome of a predict or train call: served, or pushed back.
@@ -37,7 +40,10 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream,
+            out: Vec::new(),
+        })
     }
 
     /// Sends one request frame and reads the matching response frame.
@@ -49,9 +55,38 @@ impl Client {
     /// batch ([`WireError::BatchTooLarge`], rejected before any byte is
     /// written so the stream stays in sync).
     pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
-        self.stream.write_all(&req.encode_frame()?)?;
+        self.send(req)?;
+        self.recv(req.opcode())
+    }
+
+    /// Queues one request frame without waiting for its response; the
+    /// next [`Client::recv`] writes every queued frame at once. The server
+    /// answers a connection's requests in order, so a caller may pipeline
+    /// several `send`s and then `recv` each response in turn.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BatchTooLarge`] as in [`Client::request`]; nothing is
+    /// queued then.
+    pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
+        self.out.extend_from_slice(&req.encode_frame()?);
+        Ok(())
+    }
+
+    /// Writes the queued frames, then reads the next response frame,
+    /// decoding it as the answer to a request with opcode `for_op`.
+    ///
+    /// # Errors
+    ///
+    /// As in [`Client::request`]; a failed write drops the queued frames.
+    pub fn recv(&mut self, for_op: Opcode) -> Result<Response, WireError> {
+        if !self.out.is_empty() {
+            let written = self.stream.write_all(&self.out);
+            self.out.clear();
+            written?;
+        }
         let (code, payload) = wire::read_frame(&mut self.stream)?.ok_or(WireError::Closed)?;
-        Response::decode(req.opcode(), code, &payload)
+        Response::decode(for_op, code, &payload)
     }
 
     /// Predicts a batch of loads.

@@ -12,6 +12,7 @@
 //!   bounded queues (full queue → `Busy`, never an unbounded buffer), and
 //!   workers drain several jobs per queue pop to amortise wakeups.
 //!   Predict→train metadata stays server-side in a per-shard ticket slab.
+//!   The pool spawns remote workers through the same path.
 //! * [`poll`] — a level-triggered `epoll` wrapper and an `eventfd` waker
 //!   over raw syscalls (the workspace builds offline; no I/O crates).
 //! * [`conn`] — per-connection receive/send buffers: incremental frame
@@ -21,8 +22,13 @@
 //!   per-connection state machines over [`conn`], scatter/gather dispatch
 //!   into the shard queues with in-order pipelined responses, and graceful
 //!   drain on `Shutdown` (DESIGN.md §11).
-//! * [`client`] — a small synchronous client used by the load generator
-//!   and the integration tests.
+//! * [`router`] — `mascot-router`'s node workers: each backend `mascotd`
+//!   is one shard of a pool behind the same event loop, forwarding its
+//!   sub-batches pipelined over one upstream connection, with busy retry,
+//!   sticky failover to a replica, and an idle health ping.
+//! * [`client`] — a small synchronous client (one request at a time, or
+//!   pipelined through `send`/`recv`) used by the load generator, the
+//!   router's node workers and the integration tests.
 //! * [`replay`] — feeds an `.mtrc` trace through the pool as training
 //!   traffic (`mascotd --replay`).
 //! * [`metrics`] — lock-free per-shard counters and a fixed-bucket
@@ -30,8 +36,9 @@
 //!
 //! Binaries: `mascotd` (the server), `mascot-loadgen` (closed- and
 //! open-loop benchmark client; maintains `BENCH_serve.json`), and
-//! `mascot-router` (consistent-hash front for a multi-node cluster with
-//! health checks and replica failover).
+//! `mascot-router` (the [`server`] event loop over [`router`]'s node
+//! workers: a consistent-hash front for a multi-node cluster with health
+//! checks and replica failover).
 //!
 //! Version 2 of the wire protocol adds `Snapshot`/`Restore`: the full
 //! predictor state of every shard round-trips through the
@@ -46,6 +53,7 @@ pub mod conn;
 pub mod metrics;
 pub mod poll;
 pub mod replay;
+pub mod router;
 pub mod server;
 pub mod shard;
 pub mod wire;

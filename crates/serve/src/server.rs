@@ -1,6 +1,8 @@
 //! `mascotd`'s server core: a single-threaded, readiness-driven event loop
 //! multiplexing every connection over level-triggered `epoll`
-//! ([`crate::poll`]), dispatching into the shard pool.
+//! ([`crate::poll`]), dispatching into the shard pool. `mascot-router`
+//! runs the same loop over a pool whose shards are remote nodes
+//! ([`crate::router`]).
 //!
 //! One thread owns the listener and all connections. Each readable event
 //! pulls at most [`READ_CHUNK`] bytes into the connection's
@@ -21,7 +23,10 @@
 //! Backpressure is layered:
 //! * per request, all-or-nothing `Busy` when any owning shard's bounded
 //!   queue is full (replies already scattered are discarded via the gather
-//!   slab's discard mode — never delivered to the wrong request);
+//!   slab's discard mode — never delivered to the wrong request), or when
+//!   a shard refuses its job (an [`Outcome`] error: a remote node that
+//!   stayed busy or failed), whose response then answers the whole
+//!   request;
 //! * per connection, reading pauses when the send buffer or the in-flight
 //!   response count crosses [`crate::conn`]'s thresholds, and resumes at
 //!   half (hysteresis), so a client that never reads its responses stops
@@ -35,7 +40,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -45,9 +50,8 @@ use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_snapshot::SnapshotFile;
 
 use crate::conn::{Conn, Inflight, READ_CHUNK};
-use crate::metrics::ShardMetrics;
 use crate::poll::{Event, Poller, Waker};
-use crate::shard::{shard_of, ReplySink, ShardJob, ShardPool, ShardPoolConfig, ShardReply};
+use crate::shard::{Outcome, ReplySink, ShardJob, ShardPool, ShardPoolConfig, ShardReply};
 use crate::wire::{
     PredictItem, PredictReply, Request, Response, StatsReport, TrainItem, MAX_BATCH,
     MAX_SNAPSHOT_FRAME_PAYLOAD,
@@ -65,6 +69,10 @@ const TAG_SHARD_BITS: u32 = 16;
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// Poll tick while draining, so the grace deadline is observed.
 const DRAIN_TICK_MS: i32 = 50;
+/// The answer to `Snapshot`/`Restore` on a server without predictors of
+/// its own (the router).
+const PER_NODE_ONLY: &str =
+    "snapshot/restore are per-node operations: address a mascotd directly";
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -91,7 +99,7 @@ impl Default for ServeConfig {
 pub struct Server {
     listener: TcpListener,
     pool: ShardPool,
-    kind: PredictorKind,
+    kind: Option<PredictorKind>,
     addr: SocketAddr,
     on_ready: Option<Box<dyn FnOnce() + Send>>,
 }
@@ -128,20 +136,34 @@ impl Server {
         predictors: Option<Vec<AnyPredictor>>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let pool = match predictors {
             Some(p) => ShardPool::with_predictors(p, &cfg.pool),
             None => ShardPool::new(cfg.kind, &cfg.pool),
         };
+        Server::new(listener, pool, Some(cfg.kind))
+    }
+
+    /// A server over an already-bound listener and a running pool. `kind`
+    /// names the predictor every shard runs; `None` (the router, whose
+    /// shards are remote nodes) answers `Snapshot`/`Restore` with an error.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure to read the listener's address.
+    pub fn new(
+        listener: TcpListener,
+        pool: ShardPool,
+        kind: Option<PredictorKind>,
+    ) -> std::io::Result<Server> {
         assert!(
             pool.num_shards() < (1 << TAG_SHARD_BITS),
             "shard index must fit the reply-tag field"
         );
         Ok(Server {
+            addr: listener.local_addr()?,
             listener,
             pool,
-            kind: cfg.kind,
-            addr,
+            kind,
             on_ready: None,
         })
     }
@@ -190,14 +212,12 @@ impl Server {
             ready();
         }
         el.run();
-        // The loop holds sender clones; they must go before `shutdown`, or
-        // the workers never observe disconnect and the join blocks forever.
         drop(el);
         // No connections remain, so no new work can arrive; a snapshot
-        // taken now is the final state. The pool's own senders are still
+        // taken now is the final state. The pool's senders are still
         // alive, so the workers are still draining and reachable.
         let payloads = if collect_snapshot {
-            pool.snapshot_shards()
+            pool.snapshot_shards().unwrap_or_default()
         } else {
             Vec::new()
         };
@@ -223,12 +243,15 @@ impl Server {
 /// A slot is freed only at `remaining == 0` — never early — so a late
 /// sub-reply can never alias a recycled slot. `discard` (set when the
 /// request was answered `Busy` mid-scatter, or the connection died)
-/// swallows the completed gather instead of encoding it.
+/// swallows the completed gather instead of encoding it. `failed` holds
+/// the first refusal, which then answers the whole request in place of the
+/// partial result.
 struct Gather {
     conn: usize,
     kind: GatherKind,
     remaining: u32,
     discard: bool,
+    failed: Option<Response>,
     result: Option<Vec<u8>>,
 }
 
@@ -245,13 +268,13 @@ enum GatherKind {
     },
 }
 
-/// The event loop: owns the poller, the connection and gather slabs, and
-/// clones of the pool's queue senders.
-struct EventLoop {
+/// The event loop: owns the poller and the connection and gather slabs,
+/// and dispatches into the borrowed pool.
+struct EventLoop<'p> {
     poller: Poller,
     waker: Arc<Waker>,
     reply_sink: ReplySink,
-    reply_rx: Receiver<(u64, ShardReply)>,
+    reply_rx: Receiver<(u64, Outcome)>,
     listener: TcpListener,
     conns: Vec<Option<Conn>>,
     free_conns: Vec<usize>,
@@ -260,16 +283,19 @@ struct EventLoop {
     dead: Vec<usize>,
     gathers: Vec<Option<Gather>>,
     free_gathers: Vec<usize>,
-    senders: Vec<SyncSender<ShardJob>>,
-    metrics: Vec<Arc<ShardMetrics>>,
-    kind: PredictorKind,
+    pool: &'p ShardPool,
+    kind: Option<PredictorKind>,
     accepting: bool,
     draining: bool,
     deadline: Option<Instant>,
 }
 
-impl EventLoop {
-    fn new(listener: TcpListener, pool: &ShardPool, kind: PredictorKind) -> io::Result<Self> {
+impl<'p> EventLoop<'p> {
+    fn new(
+        listener: TcpListener,
+        pool: &'p ShardPool,
+        kind: Option<PredictorKind>,
+    ) -> io::Result<Self> {
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new()?);
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
@@ -286,8 +312,7 @@ impl EventLoop {
             dead: Vec::new(),
             gathers: Vec::new(),
             free_gathers: Vec::new(),
-            senders: pool.senders().to_vec(),
-            metrics: pool.metrics().iter().map(Arc::clone).collect(),
+            pool,
             kind,
             accepting: true,
             draining: false,
@@ -440,14 +465,12 @@ impl EventLoop {
             Request::Predict(items) => self.scatter_predict(idx, items),
             Request::Train(items) => self.scatter_train(idx, items),
             Request::Stats => {
-                let report = StatsReport {
-                    shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
-                };
-                self.push_done(idx, Response::Stats(report));
+                self.push_done(idx, Response::Stats(self.pool.stats_report()));
             }
             Request::Shutdown => {
                 let served = self
-                    .metrics
+                    .pool
+                    .metrics()
                     .iter()
                     .map(|m| m.requests.load(Ordering::Relaxed))
                     .sum();
@@ -457,11 +480,17 @@ impl EventLoop {
                 }
             }
             Request::Snapshot => {
-                let resp = snapshot_response(&self.senders, &self.metrics, self.kind);
+                let resp = match self.kind {
+                    Some(kind) => snapshot_response(self.pool, kind),
+                    None => Response::Error(PER_NODE_ONLY.to_string()),
+                };
                 self.push_done(idx, resp);
             }
             Request::Restore(bytes) => {
-                let resp = restore_response(&bytes, &self.senders, &self.metrics, self.kind);
+                let resp = match self.kind {
+                    Some(kind) => restore_response(&bytes, self.pool, kind),
+                    None => Response::Error(PER_NODE_ONLY.to_string()),
+                };
                 self.push_done(idx, resp);
             }
         }
@@ -472,8 +501,7 @@ impl EventLoop {
             self.push_done(idx, Response::Error("batch exceeds MAX_BATCH".to_string()));
             return;
         }
-        let shards = self.senders.len();
-        let by_shard = partition(&items, |it| it.pc, shards);
+        let by_shard = partition(&items, |it| it.pc, self.pool);
         let subs: Vec<(usize, Vec<PredictItem>)> = by_shard
             .iter()
             .enumerate()
@@ -499,8 +527,7 @@ impl EventLoop {
             self.push_done(idx, Response::Error("batch exceeds MAX_BATCH".to_string()));
             return;
         }
-        let shards = self.senders.len();
-        let by_shard = partition(&items, |it| it.pc, shards);
+        let by_shard = partition(&items, |it| it.pc, self.pool);
         let subs: Vec<(usize, Vec<TrainItem>)> = by_shard
             .iter()
             .enumerate()
@@ -530,8 +557,8 @@ impl EventLoop {
             let n = sub.len() as u64;
             let tag = ((slot as u64) << TAG_SHARD_BITS) | shard as u64;
             let job = job_of(sub, tag, self.reply_sink.clone());
-            if self.senders[shard].try_send(job).is_err() {
-                self.metrics[shard].rejected_full.fetch_add(n, Ordering::Relaxed);
+            if self.pool.try_send(shard, job).is_err() {
+                self.pool.metrics()[shard].rejected_full.fetch_add(n, Ordering::Relaxed);
                 if sent == 0 {
                     self.free_gather(slot);
                 } else {
@@ -565,21 +592,24 @@ impl EventLoop {
         }
     }
 
-    fn on_reply(&mut self, tag: u64, reply: ShardReply) {
+    fn on_reply(&mut self, tag: u64, reply: Outcome) {
         let slot = (tag >> TAG_SHARD_BITS) as usize;
         let shard = (tag & ((1 << TAG_SHARD_BITS) - 1)) as usize;
         let Some(g) = self.gathers.get_mut(slot).and_then(Option::as_mut) else {
             return; // only reachable if a worker fabricated a tag
         };
         match (&mut g.kind, reply) {
-            (GatherKind::Predict { out, subs }, ShardReply::Predict(replies)) => {
+            (GatherKind::Predict { out, subs }, Ok(ShardReply::Predict(replies))) => {
                 for (&i, r) in subs[shard].iter().zip(replies) {
                     out[i] = Some(r);
                 }
             }
-            (GatherKind::Train { applied, stale }, ShardReply::Train { applied: a, stale: s }) => {
+            (GatherKind::Train { applied, stale }, Ok(ShardReply::Train { applied: a, stale: s })) => {
                 *applied += a;
                 *stale += s;
+            }
+            (_, Err(resp)) => {
+                g.failed.get_or_insert(resp);
             }
             // A mismatched reply kind still decrements `remaining` below,
             // so the slot cannot leak; a predict gather with holes answers
@@ -596,7 +626,7 @@ impl EventLoop {
         }
         let kind = std::mem::replace(&mut g.kind, GatherKind::Train { applied: 0, stale: 0 });
         let conn = g.conn;
-        let resp = gather_response(kind);
+        let resp = g.failed.take().unwrap_or_else(|| gather_response(kind));
         let frame = encode_or_error(resp);
         self.gathers[slot].as_mut().expect("live gather").result = Some(frame);
         self.service_conn(conn);
@@ -751,6 +781,7 @@ impl EventLoop {
             kind,
             remaining: 0,
             discard: false,
+            failed: None,
             result: None,
         };
         match self.free_gathers.pop() {
@@ -857,39 +888,16 @@ pub fn predictors_from_snapshot(
 /// Gathers every shard's serialized state into one `Snapshot` response.
 /// Runs inline on the event loop: the blocking sends and receives are safe
 /// because shard workers never block (replies go to unbounded channels).
-fn snapshot_response(
-    senders: &[SyncSender<ShardJob>],
-    metrics: &[Arc<ShardMetrics>],
-    kind: PredictorKind,
-) -> Response {
-    let (tx, rx) = channel();
-    for (shard, sender) in senders.iter().enumerate() {
-        let job = ShardJob::Snapshot {
-            tag: shard as u64,
-            reply: ReplySink::new(tx.clone()),
-        };
-        if sender.send(job).is_err() {
-            return Response::Error("shard worker exited".to_string());
-        }
-    }
-    drop(tx);
-    let mut payloads = vec![Vec::new(); senders.len()];
-    let mut received = 0usize;
-    for (tag, reply) in rx.iter() {
-        let ShardReply::Snapshot(bytes) = reply else {
-            return Response::Error("mismatched shard reply".to_string());
-        };
-        payloads[tag as usize] = bytes;
-        received += 1;
-    }
-    if received != senders.len() {
-        return Response::Error("incomplete snapshot gather".to_string());
-    }
+fn snapshot_response(pool: &ShardPool, kind: PredictorKind) -> Response {
+    let shards = match pool.snapshot_shards() {
+        Ok(shards) => shards,
+        Err(e) => return Response::Error(e),
+    };
     let file = SnapshotFile {
         kind_label: kind.label().into_owned(),
         created_unix_s: unix_now_s(),
-        restarts: metrics[0].restarts.load(Ordering::Relaxed),
-        shards: payloads,
+        restarts: pool.metrics()[0].restarts.load(Ordering::Relaxed),
+        shards,
     };
     let bytes = file.encode();
     if bytes.len() > MAX_SNAPSHOT_FRAME_PAYLOAD {
@@ -900,12 +908,7 @@ fn snapshot_response(
 
 /// Validates and scatters a `Restore` payload onto every shard. Inline on
 /// the event loop, same blocking rationale as [`snapshot_response`].
-fn restore_response(
-    bytes: &[u8],
-    senders: &[SyncSender<ShardJob>],
-    metrics: &[Arc<ShardMetrics>],
-    kind: PredictorKind,
-) -> Response {
+fn restore_response(bytes: &[u8], pool: &ShardPool, kind: PredictorKind) -> Response {
     let file = match SnapshotFile::decode(bytes) {
         Ok(f) => f,
         Err(e) => return Response::Error(format!("snapshot rejected: {e}")),
@@ -917,50 +920,24 @@ fn restore_response(
             file.kind_label, expected
         ));
     }
-    let predictors = match predictors_from_snapshot(&file.shards, senders.len()) {
+    let predictors = match predictors_from_snapshot(&file.shards, pool.num_shards()) {
         Ok(p) => p,
         Err(e) => return Response::Error(format!("snapshot rejected: {e}")),
     };
-    let (tx, rx) = channel();
-    for (shard, (sender, predictor)) in senders.iter().zip(predictors.into_iter()).enumerate() {
-        let job = ShardJob::Restore {
-            predictor: Box::new(predictor),
-            tag: shard as u64,
-            reply: ReplySink::new(tx.clone()),
-        };
-        if sender.send(job).is_err() {
-            return Response::Error("shard worker exited".to_string());
+    match pool.restore_shards(predictors) {
+        Ok(restored_entries) => {
+            pool.set_warm_start(unix_now_s().saturating_sub(file.created_unix_s), file.restarts);
+            Response::Restore { restored_entries }
         }
+        Err(e) => Response::Error(e),
     }
-    drop(tx);
-    let mut restored_entries = 0u64;
-    let mut received = 0usize;
-    for (tag, reply) in rx.iter() {
-        let ShardReply::Restore(entries) = reply else {
-            return Response::Error("mismatched shard reply".to_string());
-        };
-        metrics[tag as usize]
-            .restored_entries
-            .store(entries, Ordering::Relaxed);
-        restored_entries += entries;
-        received += 1;
-    }
-    if received != senders.len() {
-        return Response::Error("incomplete restore scatter".to_string());
-    }
-    let age = unix_now_s().saturating_sub(file.created_unix_s);
-    for m in metrics {
-        m.snapshot_age_s.store(age, Ordering::Relaxed);
-        m.restarts.store(file.restarts, Ordering::Relaxed);
-    }
-    Response::Restore { restored_entries }
 }
 
 /// Splits a batch's indices by owning shard.
-fn partition<T>(items: &[T], pc_of: impl Fn(&T) -> u64, shards: usize) -> Vec<Vec<usize>> {
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+fn partition<T>(items: &[T], pc_of: impl Fn(&T) -> u64, pool: &ShardPool) -> Vec<Vec<usize>> {
+    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); pool.num_shards()];
     for (i, item) in items.iter().enumerate() {
-        by_shard[shard_of(pc_of(item), shards)].push(i);
+        by_shard[pool.shard_of(pc_of(item))].push(i);
     }
     by_shard
 }

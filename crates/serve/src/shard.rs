@@ -29,7 +29,7 @@ use mascot_predictors::{AnyMeta, AnyPredictor, PredictorKind};
 
 use crate::metrics::ShardMetrics;
 use crate::poll::Waker;
-use crate::wire::{PredictItem, PredictReply, StatsReport, TrainItem};
+use crate::wire::{PredictItem, PredictReply, Response, StatsReport, TrainItem};
 
 /// Default shard count.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -97,8 +97,16 @@ pub enum SyncEvent {
 /// in-loop snapshot/restore fences without risking a worker/loop deadlock.
 #[derive(Clone)]
 pub struct ReplySink {
-    tx: Sender<(u64, ShardReply)>,
+    tx: Delivery,
     waker: Option<Arc<Waker>>,
+}
+
+#[derive(Clone)]
+enum Delivery {
+    /// Replies only: the receivers of local pools, which never refuse.
+    Replies(Sender<(u64, ShardReply)>),
+    /// Replies or refusals: the event loop's receiver.
+    Outcomes(Sender<(u64, Outcome)>),
 }
 
 impl std::fmt::Debug for ReplySink {
@@ -113,14 +121,17 @@ impl ReplySink {
     /// A sink that only delivers to `tx` (the receiver is being polled or
     /// blocked on directly).
     pub fn new(tx: Sender<(u64, ShardReply)>) -> Self {
-        Self { tx, waker: None }
+        Self {
+            tx: Delivery::Replies(tx),
+            waker: None,
+        }
     }
 
-    /// A sink that additionally wakes `waker` after every delivery, for
-    /// receivers parked in [`crate::poll::Poller::wait`].
-    pub fn with_waker(tx: Sender<(u64, ShardReply)>, waker: Arc<Waker>) -> Self {
+    /// A sink of [`Outcome`]s that additionally wakes `waker` after every
+    /// delivery, for receivers parked in [`crate::poll::Poller::wait`].
+    pub fn with_waker(tx: Sender<(u64, Outcome)>, waker: Arc<Waker>) -> Self {
         Self {
-            tx,
+            tx: Delivery::Outcomes(tx),
             waker: Some(waker),
         }
     }
@@ -128,7 +139,22 @@ impl ReplySink {
     /// Delivers one reply. A gone receiver is fine — the work is already
     /// done either way (e.g. the client disconnected mid-flight).
     pub fn send(&self, tag: u64, reply: ShardReply) {
-        let _ = self.tx.send((tag, reply));
+        self.deliver(tag, Ok(reply));
+    }
+
+    /// Refuses a job with a `Busy` or `Error` response. A replies-only
+    /// sink drops the refusal: only the event loop's sinks feed remote
+    /// workers, the one kind that refuses.
+    pub fn refuse(&self, tag: u64, resp: Response) {
+        self.deliver(tag, Err(resp));
+    }
+
+    fn deliver(&self, tag: u64, outcome: Outcome) {
+        let _ = match (&self.tx, outcome) {
+            (Delivery::Outcomes(tx), outcome) => tx.send((tag, outcome)).is_ok(),
+            (Delivery::Replies(tx), Ok(reply)) => tx.send((tag, reply)).is_ok(),
+            (Delivery::Replies(_), Err(_)) => false,
+        };
         if let Some(waker) = &self.waker {
             waker.wake();
         }
@@ -204,7 +230,7 @@ impl std::fmt::Debug for ShardJob {
     }
 }
 
-/// A shard's answer to a [`ShardJob::Predict`] or [`ShardJob::Train`].
+/// A shard's answer to a [`ShardJob`].
 #[derive(Debug)]
 pub enum ShardReply {
     /// Predictions, in sub-batch order.
@@ -222,14 +248,23 @@ pub enum ShardReply {
     Restore(u64),
 }
 
-/// Routes a PC to a shard: multiply-shift mixing (fibonacci hashing) so
-/// that the low bits of the shard index depend on every bit of the PC —
-/// stride-patterned PCs must not all land on one shard.
+/// What the event loop receives per job: the shard's reply, or a refusal —
+/// a `Busy` or `Error` response that answers the whole request
+/// (all-or-nothing), sent by a remote node's worker that could not serve
+/// the job. A refusal is not a [`ShardReply`] variant so that exhaustive
+/// matches on local replies stay unaffected.
+pub type Outcome = Result<ShardReply, Response>;
+
+/// PC→shard multiplier of a local pool (fibonacci hashing).
+pub const SHARD_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Routes a PC to one of `n` shards: multiply-shift mixing by the odd
+/// constant `mul`, so that the low bits of the index depend on every bit
+/// of the PC — stride-patterned PCs must not all land on one shard.
 #[inline]
-pub fn shard_of(pc: u64, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let mixed = pc.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    ((mixed >> 32) as usize) % shards
+pub fn index_of(pc: u64, n: usize, mul: u64) -> usize {
+    debug_assert!(n > 0);
+    ((pc.wrapping_mul(mul) >> 32) as usize) % n
 }
 
 /// A parked prediction awaiting its training outcome.
@@ -291,12 +326,14 @@ impl PendingTable {
     }
 }
 
-/// The pool: shard senders, metrics, and worker join handles.
+/// The pool: shard senders, metrics, worker join handles, and the
+/// PC→shard multiplier.
 #[derive(Debug)]
 pub struct ShardPool {
     senders: Vec<SyncSender<ShardJob>>,
     metrics: Vec<Arc<ShardMetrics>>,
     handles: Vec<JoinHandle<()>>,
+    hash_mul: u64,
 }
 
 impl ShardPool {
@@ -311,41 +348,56 @@ impl ShardPool {
     /// pre-built (e.g. snapshot-restored) predictor. `cfg.shards` is
     /// ignored; the pool's shard count is `predictors.len()`.
     pub fn with_predictors(predictors: Vec<AnyPredictor>, cfg: &ShardPoolConfig) -> Self {
-        assert!(!predictors.is_empty(), "at least one shard");
-        assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let shards = predictors.len();
-        let mut senders = Vec::with_capacity(shards);
-        let mut metrics = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, predictor) in predictors.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(cfg.queue_depth);
-            let m = Arc::new(ShardMetrics::new());
-            let worker_metrics = Arc::clone(&m);
-            let max_batch = cfg.max_batch.max(1);
-            let pending_capacity = cfg.pending_capacity;
-            let strict_tickets = cfg.strict_tickets;
+        let metrics: Vec<Arc<ShardMetrics>> =
+            predictors.iter().map(|_| Arc::new(ShardMetrics::new())).collect();
+        let workers = predictors
+            .into_iter()
+            .zip(&metrics)
+            .map(|(predictor, m)| {
+                let m = Arc::clone(m);
+                let (max_batch, pending_capacity) = (cfg.max_batch.max(1), cfg.pending_capacity);
+                let strict_tickets = cfg.strict_tickets;
+                move |rx| worker(rx, predictor, m, max_batch, pending_capacity, strict_tickets)
+            })
+            .collect();
+        Self::spawn("mascot-shard", workers, metrics, cfg.queue_depth, SHARD_HASH_MUL)
+    }
+
+    /// Spawns one thread per element of `workers`, each fed by its own
+    /// bounded queue of `queue_depth` jobs; PCs route over them by
+    /// [`index_of`] with `hash_mul`. `metrics` holds one block per worker
+    /// (the one it reports into), optionally followed by extra blocks that
+    /// `Stats` reports too — the router's replica.
+    pub fn spawn<W>(
+        name: &str,
+        workers: Vec<W>,
+        metrics: Vec<Arc<ShardMetrics>>,
+        queue_depth: usize,
+        hash_mul: u64,
+    ) -> Self
+    where
+        W: FnOnce(Receiver<ShardJob>) + Send + 'static,
+    {
+        assert!(!workers.is_empty(), "at least one shard");
+        assert!(metrics.len() >= workers.len(), "one metrics block per shard");
+        assert!(queue_depth > 0, "queue depth must be positive");
+        let mut senders = Vec::with_capacity(workers.len());
+        let mut handles = Vec::with_capacity(workers.len());
+        for (shard, work) in workers.into_iter().enumerate() {
+            let (tx, rx) = sync_channel(queue_depth);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("mascot-shard-{shard}"))
-                    .spawn(move || {
-                        worker(
-                            rx,
-                            predictor,
-                            worker_metrics,
-                            max_batch,
-                            pending_capacity,
-                            strict_tickets,
-                        )
-                    })
+                    .name(format!("{name}-{shard}"))
+                    .spawn(move || work(rx))
                     .expect("spawn shard worker"),
             );
             senders.push(tx);
-            metrics.push(m);
         }
         Self {
             senders,
             metrics,
             handles,
+            hash_mul,
         }
     }
 
@@ -356,15 +408,10 @@ impl ShardPool {
 
     /// The shard owning `pc`.
     pub fn shard_of(&self, pc: u64) -> usize {
-        shard_of(pc, self.senders.len())
+        index_of(pc, self.senders.len(), self.hash_mul)
     }
 
-    /// Clones of the per-shard senders (for connection handlers).
-    pub fn senders(&self) -> &[SyncSender<ShardJob>] {
-        &self.senders
-    }
-
-    /// The per-shard metrics blocks.
+    /// The metrics blocks: one per shard, then any extra reported blocks.
     pub fn metrics(&self) -> &[Arc<ShardMetrics>] {
         &self.metrics
     }
@@ -406,60 +453,85 @@ impl ShardPool {
     /// Serializes every shard's predictor state, in shard order (blocking:
     /// each shard finishes the work queued ahead of its snapshot job first,
     /// so the result is a consistent point-in-time cut per shard).
-    pub fn snapshot_shards(&self) -> Vec<Vec<u8>> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let _ = sender.send(ShardJob::Snapshot {
-                tag: shard as u64,
-                reply: ReplySink::new(tx.clone()),
-            });
-        }
-        drop(tx);
+    ///
+    /// # Errors
+    ///
+    /// When a shard worker has exited or did not answer.
+    pub fn snapshot_shards(&self) -> Result<Vec<Vec<u8>>, String> {
         let mut payloads = vec![Vec::new(); self.senders.len()];
-        for (tag, reply) in rx.iter() {
-            if let ShardReply::Snapshot(bytes) = reply {
-                payloads[tag as usize] = bytes;
-            }
-        }
-        payloads
+        self.each_shard(
+            |tag, reply| ShardJob::Snapshot { tag, reply },
+            |shard, reply| {
+                let ShardReply::Snapshot(bytes) = reply else { return None };
+                payloads[shard] = bytes;
+                Some(())
+            },
+        )?;
+        Ok(payloads)
     }
 
     /// Swaps one pre-built predictor into each shard (in shard order),
     /// clears the pending tables, and records each shard's restored entry
     /// count in its metrics. Returns the total across shards.
     ///
+    /// # Errors
+    ///
+    /// When a shard worker has exited or did not answer.
+    ///
     /// # Panics
     ///
     /// When `predictors.len()` differs from the pool's shard count — the
     /// caller performs any resharding *before* handing the pool its new
     /// per-shard states.
-    pub fn restore_shards(&self, predictors: Vec<AnyPredictor>) -> u64 {
+    pub fn restore_shards(&self, predictors: Vec<AnyPredictor>) -> Result<u64, String> {
         assert_eq!(
             predictors.len(),
             self.senders.len(),
             "one replacement predictor per shard"
         );
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (shard, (sender, predictor)) in
-            self.senders.iter().zip(predictors.into_iter()).enumerate()
-        {
-            let _ = sender.send(ShardJob::Restore {
-                predictor: Box::new(predictor),
-                tag: shard as u64,
-                reply: ReplySink::new(tx.clone()),
-            });
-        }
-        drop(tx);
+        let mut predictors = predictors.into_iter();
         let mut total = 0u64;
-        for (tag, reply) in rx.iter() {
-            if let ShardReply::Restore(entries) = reply {
-                self.metrics[tag as usize]
+        self.each_shard(
+            |tag, reply| ShardJob::Restore {
+                predictor: Box::new(predictors.next().expect("one per shard")),
+                tag,
+                reply,
+            },
+            |shard, reply| {
+                let ShardReply::Restore(entries) = reply else { return None };
+                self.metrics[shard]
                     .restored_entries
                     .store(entries, Ordering::Relaxed);
                 total += entries;
+                Some(())
+            },
+        )?;
+        Ok(total)
+    }
+
+    /// Sends one job per shard (blocking) and hands every reply to
+    /// `on_reply`, which refuses a mismatched one by returning `None`.
+    fn each_shard(
+        &self,
+        mut job: impl FnMut(u64, ReplySink) -> ShardJob,
+        mut on_reply: impl FnMut(usize, ShardReply) -> Option<()>,
+    ) -> Result<(), String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for (shard, sender) in self.senders.iter().enumerate() {
+            if sender.send(job(shard as u64, ReplySink::new(tx.clone()))).is_err() {
+                return Err("shard worker exited".to_string());
             }
         }
-        total
+        drop(tx);
+        let mut received = 0usize;
+        for (tag, reply) in rx.iter() {
+            on_reply(tag as usize, reply).ok_or("mismatched shard reply")?;
+            received += 1;
+        }
+        if received != self.senders.len() {
+            return Err("incomplete shard gather".to_string());
+        }
+        Ok(())
     }
 
     /// Stamps the warm-start observability counters (snapshot age at
@@ -492,6 +564,7 @@ impl ShardPool {
             senders,
             metrics,
             handles,
+            ..
         } = self;
         drop(senders);
         let mut dead_shards = 0usize;
@@ -695,8 +768,8 @@ mod tests {
         let mut seen = [false; 8];
         // Stride-4 PCs (typical code addresses) must hit several shards.
         for i in 0..512u64 {
-            let s = shard_of(0x40_0000 + i * 4, 8);
-            assert_eq!(s, shard_of(0x40_0000 + i * 4, 8));
+            let s = index_of(0x40_0000 + i * 4, 8, SHARD_HASH_MUL);
+            assert_eq!(s, index_of(0x40_0000 + i * 4, 8, SHARD_HASH_MUL));
             seen[s] = true;
         }
         assert!(seen.iter().filter(|&&b| b).count() >= 6);
@@ -959,7 +1032,7 @@ mod tests {
             }
         }
         warm.fence();
-        let payloads = warm.snapshot_shards();
+        let payloads = warm.snapshot_shards().expect("live shards");
         assert_eq!(payloads.len(), 2);
 
         let cold = ShardPool::new(PredictorKind::Mascot, &cfg);
@@ -967,7 +1040,7 @@ mod tests {
             .iter()
             .map(|p| AnyPredictor::from_snapshot_bytes(p).expect("valid shard payload"))
             .collect();
-        let restored = cold.restore_shards(predictors);
+        let restored = cold.restore_shards(predictors).expect("live shards");
         assert!(restored > 0, "warm shards must carry entries");
         cold.set_warm_start(7, 2);
         let report = cold.stats_report();

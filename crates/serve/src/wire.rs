@@ -25,6 +25,7 @@ use std::io::{self, Read, Write};
 use mascot::prediction::{
     BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
 };
+use mascot_snapshot::{SnapError, SnapReader};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"MSRV";
@@ -168,6 +169,19 @@ impl std::error::Error for WireError {
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+/// The shared payload cursor's failures, as wire corruption.
+impl From<SnapError> for WireError {
+    fn from(e: SnapError) -> Self {
+        match e {
+            SnapError::TrailingBytes(_) => WireError::Corrupt("trailing bytes"),
+            SnapError::Truncated(what) | SnapError::Corrupt(what) | SnapError::TooLarge(what) => {
+                WireError::Corrupt(what)
+            }
+            _ => WireError::Corrupt("malformed payload"),
+        }
     }
 }
 
@@ -348,62 +362,19 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian payload primitives (same style as mascot_sim::codec).
+// Payload primitives over the shared little-endian cursor.
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(WireError::Corrupt("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Corrupt("trailing bytes"))
-        }
-    }
-}
+/// What a short payload reports.
+const TRUNCATED: &str = "truncated payload";
 
 /// Reads and validates a batch count, bounding the upcoming allocation by
 /// the payload the peer actually sent.
-fn batch_count(r: &mut Reader<'_>, item_bytes: usize) -> Result<usize, WireError> {
-    let count = usize::from(r.u16()?);
+fn batch_count(r: &mut SnapReader<'_>, item_bytes: usize) -> Result<usize, WireError> {
+    let count = usize::from(r.u16(TRUNCATED)?);
     if count > MAX_BATCH {
         return Err(WireError::Corrupt("batch exceeds MAX_BATCH"));
     }
-    if r.buf.len() - r.pos != count * item_bytes {
+    if r.remaining() != count * item_bytes {
         return Err(WireError::Corrupt("batch length mismatch"));
     }
     Ok(count)
@@ -464,12 +435,12 @@ fn put_outcome(out: &mut Vec<u8>, o: &LoadOutcome) {
     }
 }
 
-fn get_outcome(r: &mut Reader<'_>) -> Result<LoadOutcome, WireError> {
-    let flag = r.u8()?;
-    let dist = r.u8()?;
-    let class = r.u8()?;
-    let store_pc = r.u64()?;
-    let branches_between = r.u32()?;
+fn get_outcome(r: &mut SnapReader<'_>) -> Result<LoadOutcome, WireError> {
+    let flag = r.u8(TRUNCATED)?;
+    let dist = r.u8(TRUNCATED)?;
+    let class = r.u8(TRUNCATED)?;
+    let store_pc = r.u64(TRUNCATED)?;
+    let branches_between = r.u32(TRUNCATED)?;
     match flag {
         0 => Ok(LoadOutcome::independent()),
         1 => Ok(LoadOutcome::dependent(ObservedDependence {
@@ -498,38 +469,17 @@ pub fn encode_frame(code: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Fills `buf` from `r`, retrying on timeouts.
-///
-/// Returns `Ok(false)` when the stream closed or `abort()` fired *before
-/// the first byte* (an idle, clean stop); once a frame has started, both a
-/// mid-frame close and an abort-while-stalled are corruption. `abort` is
-/// consulted only when the underlying read times out (`WouldBlock` /
-/// `TimedOut`), which requires a read timeout on the stream to ever fire.
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    abort: &dyn Fn() -> bool,
-) -> Result<bool, WireError> {
+/// Fills `buf` from `r`. Returns `Ok(false)` when the stream closed
+/// before the first byte (a clean end between frames); a close after it is
+/// corruption.
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, WireError> {
     let mut pos = 0;
     while pos < buf.len() {
         match r.read(&mut buf[pos..]) {
-            Ok(0) => {
-                return if pos == 0 {
-                    Ok(false)
-                } else {
-                    Err(WireError::Corrupt("connection closed mid-frame"))
-                }
-            }
+            Ok(0) if pos == 0 => return Ok(false),
+            Ok(0) => return Err(WireError::Corrupt("connection closed mid-frame")),
             Ok(n) => pos += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if abort() && pos == 0 {
-                    return Ok(false);
-                }
-            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -538,7 +488,7 @@ fn read_full<R: Read>(
 
 /// Validates a frame header and returns its `(code, payload_len)`. The
 /// single source of truth for header checks — the blocking reader
-/// ([`read_frame_abortable`]) and the event loop's incremental parser
+/// ([`read_frame`]) and the event loop's incremental parser
 /// ([`crate::conn::RecvBuf`]) both call it, so a malformed stream fails
 /// identically whichever front end reads it.
 ///
@@ -562,27 +512,19 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError>
     Ok((code, len as usize))
 }
 
-/// Reads one frame. `None` means the peer closed (or `abort` fired) between
-/// frames — a clean end of stream.
-pub fn read_frame_abortable<R: Read>(
-    r: &mut R,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+/// Reads one frame, blocking until it arrives; `None` when the peer closed
+/// between frames — a clean end of stream.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; HEADER_LEN];
-    if !read_full(r, &mut header, abort)? {
+    if !read_full(r, &mut header)? {
         return Ok(None);
     }
     let (code, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len];
-    if !read_full(r, &mut payload, &|| false)? {
+    if !read_full(r, &mut payload)? {
         return Err(WireError::Corrupt("connection closed mid-frame"));
     }
     Ok(Some((code, payload)))
-}
-
-/// Reads one frame, blocking until it arrives; `None` on clean close.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-    read_frame_abortable(r, &|| false)
 }
 
 /// Writes a complete frame.
@@ -666,15 +608,15 @@ impl Request {
     /// Returns a [`WireError`] on an unknown opcode, a length/batch-size
     /// mismatch, or an out-of-range field.
     pub fn decode(code: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(payload);
+        let mut r = SnapReader::new(payload);
         match Opcode::from_code(code)? {
             Opcode::Predict => {
                 let count = batch_count(&mut r, PREDICT_ITEM_BYTES)?;
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
                     items.push(PredictItem {
-                        pc: r.u64()?,
-                        store_seq: r.u64()?,
+                        pc: r.u64(TRUNCATED)?,
+                        store_seq: r.u64(TRUNCATED)?,
                     });
                 }
                 r.finish()?;
@@ -685,8 +627,8 @@ impl Request {
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
                     items.push(TrainItem {
-                        ticket: r.u32()?,
-                        pc: r.u64()?,
+                        ticket: r.u32(TRUNCATED)?,
+                        pc: r.u64(TRUNCATED)?,
                         outcome: get_outcome(&mut r)?,
                     });
                 }
@@ -815,7 +757,7 @@ impl Response {
             2 => Status::Error,
             other => return Err(WireError::BadStatus(other)),
         };
-        let mut r = Reader::new(payload);
+        let mut r = SnapReader::new(payload);
         match status {
             Status::Busy => {
                 r.finish()?;
@@ -830,9 +772,9 @@ impl Response {
                     let count = batch_count(&mut r, PREDICT_REPLY_BYTES)?;
                     let mut replies = Vec::with_capacity(count);
                     for _ in 0..count {
-                        let ticket = r.u32()?;
-                        let tag = r.u8()?;
-                        let dist = r.u8()?;
+                        let ticket = r.u32(TRUNCATED)?;
+                        let tag = r.u8(TRUNCATED)?;
+                        let dist = r.u8(TRUNCATED)?;
                         replies.push(PredictReply {
                             ticket,
                             prediction: get_prediction(tag, dist)?,
@@ -842,51 +784,51 @@ impl Response {
                     Ok(Response::Predict(replies))
                 }
                 Opcode::Train => {
-                    let applied = r.u32()?;
-                    let stale = r.u32()?;
+                    let applied = r.u32(TRUNCATED)?;
+                    let stale = r.u32(TRUNCATED)?;
                     r.finish()?;
                     Ok(Response::Train { applied, stale })
                 }
                 Opcode::Stats => {
-                    let count = r.u32()? as usize;
+                    let count = r.u32(TRUNCATED)? as usize;
                     if count > MAX_SHARDS {
                         return Err(WireError::Corrupt("shard count exceeds limit"));
                     }
-                    if r.buf.len() - r.pos != count * SHARD_STATS_BYTES {
+                    if r.remaining() != count * SHARD_STATS_BYTES {
                         return Err(WireError::Corrupt("stats length mismatch"));
                     }
                     let mut shards = Vec::with_capacity(count);
                     for _ in 0..count {
                         shards.push(ShardStats {
-                            requests: r.u64()?,
-                            predicts: r.u64()?,
-                            trains: r.u64()?,
-                            stale_trains: r.u64()?,
-                            evicted_pending: r.u64()?,
-                            missed_dependencies: r.u64()?,
-                            false_dependencies: r.u64()?,
-                            false_bypasses: r.u64()?,
-                            batches: r.u64()?,
-                            rejected_full: r.u64()?,
-                            service_samples: r.u64()?,
-                            service_p50_ns: r.u64()?,
-                            service_p99_ns: r.u64()?,
-                            restored_entries: r.u64()?,
-                            snapshot_age_s: r.u64()?,
-                            restarts: r.u64()?,
+                            requests: r.u64(TRUNCATED)?,
+                            predicts: r.u64(TRUNCATED)?,
+                            trains: r.u64(TRUNCATED)?,
+                            stale_trains: r.u64(TRUNCATED)?,
+                            evicted_pending: r.u64(TRUNCATED)?,
+                            missed_dependencies: r.u64(TRUNCATED)?,
+                            false_dependencies: r.u64(TRUNCATED)?,
+                            false_bypasses: r.u64(TRUNCATED)?,
+                            batches: r.u64(TRUNCATED)?,
+                            rejected_full: r.u64(TRUNCATED)?,
+                            service_samples: r.u64(TRUNCATED)?,
+                            service_p50_ns: r.u64(TRUNCATED)?,
+                            service_p99_ns: r.u64(TRUNCATED)?,
+                            restored_entries: r.u64(TRUNCATED)?,
+                            snapshot_age_s: r.u64(TRUNCATED)?,
+                            restarts: r.u64(TRUNCATED)?,
                         });
                     }
                     r.finish()?;
                     Ok(Response::Stats(StatsReport { shards }))
                 }
                 Opcode::Shutdown => {
-                    let served = r.u64()?;
+                    let served = r.u64(TRUNCATED)?;
                     r.finish()?;
                     Ok(Response::Shutdown { served })
                 }
                 Opcode::Snapshot => Ok(Response::Snapshot(payload.to_vec())),
                 Opcode::Restore => {
-                    let restored_entries = r.u64()?;
+                    let restored_entries = r.u64(TRUNCATED)?;
                     r.finish()?;
                     Ok(Response::Restore { restored_entries })
                 }

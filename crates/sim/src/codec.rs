@@ -10,6 +10,7 @@ use std::io::{self, Read, Write};
 
 use mascot::history::BranchKind;
 use mascot::prediction::BypassClass;
+use mascot_snapshot::{SnapError, SnapReader};
 
 use crate::uop::{Trace, TraceDep, Uop, UopKind};
 
@@ -56,39 +57,21 @@ impl From<io::Error> for CodecError {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(CodecError::Corrupt("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+/// The shared little-endian cursor's failures, as trace corruption.
+impl From<SnapError> for CodecError {
+    fn from(e: SnapError) -> Self {
+        match e {
+            SnapError::TrailingBytes(_) => CodecError::Corrupt("trailing bytes"),
+            SnapError::Truncated(what) | SnapError::Corrupt(what) | SnapError::TooLarge(what) => {
+                CodecError::Corrupt(what)
+            }
+            _ => CodecError::Corrupt("malformed trace"),
+        }
     }
 }
+
+/// What a short buffer reports.
+const TRUNCATED: &str = "truncated";
 
 fn put_reg(out: &mut Vec<u8>, r: Option<u8>) {
     out.push(r.unwrap_or(NO_REG));
@@ -160,69 +143,69 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 /// Returns a [`CodecError`] on bad magic, unsupported version, truncation,
 /// or out-of-range field values.
 pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = SnapReader::new(bytes);
+    if r.take(4, TRUNCATED)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = r.u8()?;
+    let version = r.u8(TRUNCATED)?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let name_len = usize::from(r.u16()?);
-    let name = std::str::from_utf8(r.take(name_len)?)
+    let name_len = usize::from(r.u16(TRUNCATED)?);
+    let name = std::str::from_utf8(r.take(name_len, TRUNCATED)?)
         .map_err(|_| CodecError::Corrupt("name is not UTF-8"))?
         .to_string();
-    let count = r.u64()?;
+    let count = r.u64(TRUNCATED)?;
     // Every uop occupies at least 13 bytes (pc + regs + latency + kind tag);
     // bound the claimed count by the bytes actually remaining *before*
     // allocating, so an attacker-controlled header can never drive
     // `Vec::with_capacity` beyond the input's own size.
     const MIN_UOP_BYTES: u64 = 13;
-    let remaining = (bytes.len() - r.pos) as u64;
+    let remaining = r.remaining() as u64;
     if count.checked_mul(MIN_UOP_BYTES).is_none_or(|need| need > remaining) {
         return Err(CodecError::Corrupt("count exceeds payload"));
     }
     let mut uops = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let pc = r.u64()?;
-        let srcs = [get_reg(r.u8()?), get_reg(r.u8()?)];
-        let dst = get_reg(r.u8()?);
-        let latency = r.u8()?;
-        let kind = match r.u8()? {
+        let pc = r.u64(TRUNCATED)?;
+        let srcs = [get_reg(r.u8(TRUNCATED)?), get_reg(r.u8(TRUNCATED)?)];
+        let dst = get_reg(r.u8(TRUNCATED)?);
+        let latency = r.u8(TRUNCATED)?;
+        let kind = match r.u8(TRUNCATED)? {
             0 => UopKind::Alu,
             1 => {
-                let addr = r.u64()?;
-                let size = r.u8()?;
-                let dep = match r.u8()? {
+                let addr = r.u64(TRUNCATED)?;
+                let size = r.u8(TRUNCATED)?;
+                let dep = match r.u8(TRUNCATED)? {
                     0 => None,
                     1 => Some(TraceDep {
-                        distance: r.u32()?,
-                        class: BypassClass::from_code(r.u8()?)
+                        distance: r.u32(TRUNCATED)?,
+                        class: BypassClass::from_code(r.u8(TRUNCATED)?)
                             .ok_or(CodecError::Corrupt("bypass class"))?,
-                        store_pc: r.u64()?,
-                        branches_between: r.u32()?,
+                        store_pc: r.u64(TRUNCATED)?,
+                        branches_between: r.u32(TRUNCATED)?,
                     }),
                     _ => return Err(CodecError::Corrupt("dep flag")),
                 };
                 UopKind::Load { addr, size, dep }
             }
             2 => {
-                let addr = r.u64()?;
-                let size = r.u8()?;
+                let addr = r.u64(TRUNCATED)?;
+                let size = r.u8(TRUNCATED)?;
                 UopKind::Store { addr, size }
             }
             3 => {
-                let kind = match r.u8()? {
+                let kind = match r.u8(TRUNCATED)? {
                     0 => BranchKind::Conditional,
                     1 => BranchKind::Indirect,
                     _ => return Err(CodecError::Corrupt("branch kind")),
                 };
-                let taken = match r.u8()? {
+                let taken = match r.u8(TRUNCATED)? {
                     0 => false,
                     1 => true,
                     _ => return Err(CodecError::Corrupt("taken flag")),
                 };
-                let target = r.u64()?;
+                let target = r.u64(TRUNCATED)?;
                 UopKind::Branch {
                     kind,
                     taken,
@@ -239,9 +222,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
             latency,
         });
     }
-    if r.pos != bytes.len() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(Trace::new(name, uops))
 }
 

@@ -23,7 +23,9 @@
 //!
 //! This crate is dependency-free so that every layer (stats counters, core
 //! tables, baseline predictors, the serve daemon) can share one reader and
-//! writer without cycles.
+//! writer without cycles; [`SnapReader`] is also the one byte cursor behind
+//! the trace codec and the serve wire protocol, each mapping [`SnapError`]
+//! into its own error type.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -176,19 +178,24 @@ impl SnapWriter {
 /// decoder that completes has consumed exactly the payload it was given.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
+// The primitives are `#[inline]`: the trace codec and the wire protocol
+// decode through them field by field from other crates, where an
+// out-of-line call per field costs several times the decode itself.
 impl<'a> SnapReader<'a> {
     /// A reader over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Consumes `n` raw bytes.
@@ -196,15 +203,15 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapError::Truncated(what))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        // Not `ok_or`: an eagerly built error is dropped on every
+        // successful read, and that drop does not optimise away.
+        let Some((head, tail)) = self.rest.split_at_checked(n) else {
+            return Err(SnapError::Truncated(what));
+        };
+        self.rest = tail;
+        Ok(head)
     }
 
     /// Reads one byte.
@@ -212,6 +219,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, SnapError> {
         Ok(self.take(1, what)?[0])
     }
@@ -235,6 +243,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u16(&mut self, what: &'static str) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(
             self.take(2, what)?.try_into().expect("2 bytes"),
@@ -246,6 +255,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(
             self.take(4, what)?.try_into().expect("4 bytes"),
@@ -257,6 +267,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(
             self.take(8, what)?.try_into().expect("8 bytes"),
@@ -284,8 +295,9 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::TrailingBytes`] when bytes remain.
+    #[inline]
     pub fn finish(self) -> Result<(), SnapError> {
-        match self.buf.len() - self.pos {
+        match self.rest.len() {
             0 => Ok(()),
             n => Err(SnapError::TrailingBytes(n)),
         }

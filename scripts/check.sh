@@ -23,7 +23,10 @@
 # mascot-serve loopback smoke (real mascotd process + mascot-loadgen over
 # TCP) loses requests, achieves zero QPS, or fails to drain on shutdown,
 # or if the open-loop soak (1k concurrent connections against one mascotd)
-# loses a request or blows its p999 latency SLO. Regenerate the baselines
+# loses a request or blows its p999 latency SLO, or if the router smoke
+# (three nodes and a replica, one node killed mid-run) loses a request or
+# reports no per-backend service time. Every daemon must exit cleanly
+# within a bounded wait. Regenerate the baselines
 # with `cargo run --release -p mascot-bench --bin throughput` and `cargo
 # run --release -p mascot-serve --bin mascot-loadgen` on intentional perf
 # changes, and commit the new files alongside them (BENCH_serve.json must
@@ -45,6 +48,22 @@ wait_ready() {
         sleep 0.05
     done
     echo "daemon behind $1 never became ready"
+    return 1
+}
+
+# Waits for a daemon to exit and returns its exit status, bounded (default
+# 60 s): a daemon that never drains fails the gate instead of hanging it.
+wait_exit() {
+    local pid=$1 limit=${2:-60}
+    for _ in $(seq 1 $((limit * 20))); do
+        if ! kill -0 "${pid}" 2>/dev/null; then
+            wait "${pid}"
+            return
+        fi
+        sleep 0.05
+    done
+    echo "daemon ${pid} did not exit within ${limit}s"
+    kill -9 "${pid}" 2>/dev/null || true
     return 1
 }
 
@@ -133,7 +152,7 @@ trap 'kill ${MASCOTD_PID} 2>/dev/null || true; rm -f "${PORT_FILE}"' EXIT
 wait_ready "${PORT_FILE}"
 ./target/release/mascot-loadgen --addr "$(cat "${PORT_FILE}")" --smoke
 # The smoke's Shutdown request must let the server drain and exit cleanly.
-wait "${MASCOTD_PID}"
+wait_exit "${MASCOTD_PID}"
 trap - EXIT
 rm -f "${PORT_FILE}"
 echo "serve smoke ok (server drained and exited)"
@@ -153,7 +172,7 @@ wait_ready "${PORT_FILE}"
 ./target/release/mascot-loadgen --addr "$(cat "${PORT_FILE}")" \
     --soak --threads 2 --batch 16 --slo-p999-us 250000
 # The soak's Shutdown must drain the server cleanly too.
-wait "${MASCOTD_PID}"
+wait_exit "${MASCOTD_PID}"
 trap - EXIT
 rm -f "${PORT_FILE}"
 echo "serve soak ok (SLO held at 1k connections)"
@@ -179,7 +198,7 @@ MASCOTD_PID=$!
 wait_ready "${PORT_FILE}"
 ./target/release/mascot-loadgen --addr "$(cat "${PORT_FILE}")" \
     --fingerprint-file "${SNAP_DIR}/fp.before" --shutdown
-wait "${MASCOTD_PID}"
+wait_exit "${MASCOTD_PID}"
 [ -s "${SNAP_DIR}/mascot.snap" ] || { echo "no snapshot checkpointed"; exit 1; }
 # Generation 1: no replay — the state must come back from the snapshot.
 rm -f "${PORT_FILE}"
@@ -199,7 +218,7 @@ cmp "${SNAP_DIR}/fp.before" "${SNAP_DIR}/fp.after" \
     || { echo "predictions diverged across the restart"; exit 1; }
 # The restored server must still serve real traffic losslessly.
 ./target/release/mascot-loadgen --addr "$(cat "${PORT_FILE}")" --smoke
-wait "${MASCOTD_PID}"
+wait_exit "${MASCOTD_PID}"
 trap - EXIT
 rm -rf "${SNAP_DIR}"
 echo "snapshot smoke ok (identical fingerprints across a warm restart)"
@@ -224,14 +243,20 @@ ROUTER_PID=$!
 wait_ready "${RUN_DIR}/router.port"
 # The smoke asserts zero lost requests even though a primary dies mid-run.
 ./target/release/mascot-loadgen --addr "$(cat "${RUN_DIR}/router.port")" \
-    --smoke --duration-ms 2500 &
+    --smoke --duration-ms 2500 > "${RUN_DIR}/loadgen.out" &
 LOADGEN_PID=$!
 sleep 0.8
 kill -9 "${NODE_PIDS[1]}" 2>/dev/null || true
-wait "${LOADGEN_PID}"
-# The loadgen's Shutdown broadcast must stop the router and the survivors.
-wait "${ROUTER_PID}"
-for i in 0 2 3; do wait "${NODE_PIDS[$i]}" || true; done
+wait "${LOADGEN_PID}" || { cat "${RUN_DIR}/loadgen.out"; exit 1; }
+cat "${RUN_DIR}/loadgen.out"
+# The router's Stats entries are its per-backend metrics: a zero service
+# p99 means the round trips to the nodes were never timed.
+grep "worst-shard p99 job service time" "${RUN_DIR}/loadgen.out" | grep -qv " 0.0us$" \
+    || { echo "router reported no per-backend service time"; exit 1; }
+# The loadgen's Shutdown must stop the router; once drained, the router
+# shuts down every surviving node, and each must exit cleanly.
+wait_exit "${ROUTER_PID}"
+for i in 0 2 3; do wait_exit "${NODE_PIDS[$i]}"; done
 trap - EXIT
 rm -rf "${RUN_DIR}"
-echo "router smoke ok (node killed mid-run, zero lost requests)"
+echo "router smoke ok (node killed mid-run, zero lost requests, survivors exited 0)"

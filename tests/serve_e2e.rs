@@ -1,14 +1,17 @@
 //! End-to-end loopback tests for `mascot-serve`: a real `mascotd` server on
 //! an ephemeral port, real TCP clients, mixed predict/train traffic from
-//! multiple threads, and protocol-level rejection of malformed frames.
+//! multiple threads, protocol-level rejection of malformed frames, and a
+//! router in front of several nodes.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mascot_predictors::{AnyPredictor, PredictorKind};
-use mascot_serve::shard::ShardPoolConfig;
+use mascot_serve::router::{self, RouterConfig, NODE_HASH_MUL};
+use mascot_serve::shard::{index_of, ShardPoolConfig};
 use mascot_serve::wire::{self, Opcode, PredictItem, Response, TrainItem, HEADER_LEN, MAGIC};
 use mascot_serve::{Client, ServeConfig, Served, Server};
 use mascot_snapshot::SnapshotFile;
@@ -417,4 +420,290 @@ fn malformed_payload_keeps_the_connection_alive() {
     let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
+}
+
+// ---------------------------------------------------------------------------
+// mascot-router: an in-process router over in-process mascotd nodes.
+
+/// Primaries, then the replica, each a 2-shard mascotd, behind a router.
+struct Cluster {
+    router: String,
+    router_handle: std::thread::JoinHandle<wire::StatsReport>,
+    nodes: Vec<String>,
+    node_handles: Vec<std::thread::JoinHandle<wire::StatsReport>>,
+}
+
+fn spawn_cluster(primaries: usize) -> Cluster {
+    let (nodes, node_handles): (Vec<_>, Vec<_>) = (0..=primaries).map(|_| spawn_server(2)).unzip();
+    let cfg = RouterConfig {
+        nodes: nodes[..primaries].to_vec(),
+        replica: Some(nodes[primaries].clone()),
+        health_interval: Duration::from_millis(50),
+        ..RouterConfig::default()
+    };
+    let (addr, router_handle) = router::bind(&cfg).expect("bind router").spawn();
+    Cluster {
+        router: addr.to_string(),
+        router_handle,
+        nodes,
+        node_handles,
+    }
+}
+
+/// Joins a server thread, failing instead of hanging when it never stops.
+fn join_within<T>(handle: std::thread::JoinHandle<T>, what: &str) -> T {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "{what} did not stop");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect(what)
+}
+
+impl Cluster {
+    /// Shuts the router down and requires it to stop every node it
+    /// reaches; returns the router's `Shutdown` answer and drained report.
+    fn shutdown(self) -> (u64, wire::StatsReport) {
+        let served = Client::connect(&self.router)
+            .expect("control connect")
+            .shutdown()
+            .expect("router shutdown");
+        let drained = join_within(self.router_handle, "router");
+        for (i, handle) in self.node_handles.into_iter().enumerate() {
+            join_within(handle, &format!("node {i}"));
+        }
+        (served, drained)
+    }
+}
+
+const ROUTED_PCS: u64 = 96;
+
+/// One round of the routed stream: every PC once, advancing store_seq.
+fn routed_batch(round: u64) -> Vec<PredictItem> {
+    (0..ROUTED_PCS)
+        .map(|i| PredictItem {
+            pc: 0x7000 + i * 4,
+            store_seq: round * ROUTED_PCS + i + 8,
+        })
+        .collect()
+}
+
+/// Trains every reply back: odd PCs depend on a store 3 back, even PCs
+/// are independent, so predictions diverge from the cold default.
+fn train_items(items: &[PredictItem], replies: &[wire::PredictReply]) -> Vec<TrainItem> {
+    items
+        .iter()
+        .zip(replies)
+        .map(|(item, r)| TrainItem {
+            ticket: r.ticket,
+            pc: item.pc,
+            outcome: if item.pc & 4 != 0 {
+                LoadOutcome::dependent(ObservedDependence {
+                    distance: StoreDistance::new(3).expect("in range"),
+                    class: BypassClass::DirectBypass,
+                    store_pc: item.pc.wrapping_sub(8),
+                    branches_between: 0,
+                })
+            } else {
+                LoadOutcome::independent()
+            },
+        })
+        .collect()
+}
+
+/// Predict + train one batch, requiring a complete, non-Busy answer.
+fn predict_and_train(client: &mut Client, items: &[PredictItem]) -> Vec<wire::PredictReply> {
+    let Served::Ok(replies) = client.predict(items.to_vec()).expect("predict") else {
+        panic!("unexpected Busy under closed-loop load");
+    };
+    assert_eq!(replies.len(), items.len(), "every item answered");
+    let Served::Ok((applied, stale)) = client.train(train_items(items, &replies)).expect("train")
+    else {
+        panic!("unexpected Busy under closed-loop load");
+    };
+    assert_eq!((applied + stale) as usize, items.len(), "every train accounted");
+    replies
+}
+
+/// Each node's slice of the stream, sent straight to a twin mascotd, gets
+/// exactly the predictions (and tickets) the router returns for it; the
+/// router's `Stats` has one entry per primary plus the replica's, adding
+/// up to what the client sent, and `Shutdown` answers that same count.
+#[test]
+fn router_predictions_match_the_owning_node() {
+    const PRIMARIES: usize = 2;
+    const ROUNDS: u64 = 25;
+    let cluster = spawn_cluster(PRIMARIES);
+    let twins: Vec<_> = (0..PRIMARIES).map(|_| spawn_server(2)).collect();
+    let mut routed = Client::connect(&cluster.router).expect("connect router");
+    let mut direct: Vec<Client> = twins
+        .iter()
+        .map(|(addr, _)| Client::connect(addr).expect("connect twin"))
+        .collect();
+
+    let mut last = Vec::new();
+    for round in 0..ROUNDS {
+        let items = routed_batch(round);
+        let via_router = predict_and_train(&mut routed, &items);
+        let mut via_twin: Vec<Option<wire::PredictReply>> = vec![None; items.len()];
+        for (node, client) in direct.iter_mut().enumerate() {
+            let idxs: Vec<usize> = (0..items.len())
+                .filter(|&i| index_of(items[i].pc, PRIMARIES, NODE_HASH_MUL) == node)
+                .collect();
+            let sub: Vec<PredictItem> = idxs.iter().map(|&i| items[i]).collect();
+            for (&i, reply) in idxs.iter().zip(predict_and_train(client, &sub)) {
+                via_twin[i] = Some(reply);
+            }
+        }
+        let via_twin: Vec<_> = via_twin.into_iter().map(|r| r.expect("owned")).collect();
+        assert_eq!(via_router, via_twin, "round {round}");
+        last = via_router;
+    }
+    assert!(
+        last.iter().any(|r| r.prediction != MemDepPrediction::NoDependence),
+        "the stream must train non-trivial predictions"
+    );
+
+    let sent = 2 * ROUNDS * ROUTED_PCS;
+    let stats = routed.stats().expect("stats");
+    assert_eq!(stats.shards.len(), PRIMARIES + 1, "one entry per primary, then the replica");
+    assert_eq!(stats.total_requests(), sent);
+    assert_eq!(stats.total_predicts(), sent / 2);
+    assert_eq!(stats.shards[PRIMARIES].requests, 0, "no failover happened");
+    for s in &stats.shards[..PRIMARIES] {
+        assert!(s.requests > 0 && s.service_p99_ns > 0, "primary unused: {s:?}");
+    }
+    let (served, drained) = cluster.shutdown();
+    assert_eq!(served, sent, "Shutdown answers the routed-item count");
+    assert_eq!(drained.total_requests(), sent);
+    for (addr, handle) in twins {
+        Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
+        join_within(handle, "twin");
+    }
+}
+
+/// A primary shut down mid-stream loses nothing: its slice fails over to
+/// the replica and every later request is still answered in full.
+#[test]
+fn router_fails_a_shut_down_primary_over_to_the_replica() {
+    const PRIMARIES: usize = 2;
+    let mut cluster = spawn_cluster(PRIMARIES);
+    let mut client = Client::connect(&cluster.router).expect("connect router");
+    for round in 0..10 {
+        predict_and_train(&mut client, &routed_batch(round));
+    }
+    let before = client.stats().expect("stats");
+    assert_eq!(before.shards[PRIMARIES].requests, 0, "replica idle before");
+
+    Client::connect(&cluster.nodes[0])
+        .expect("connect primary 0")
+        .shutdown()
+        .expect("primary 0 shutdown");
+    join_within(cluster.node_handles.remove(0), "primary 0");
+    for round in 10..30 {
+        predict_and_train(&mut client, &routed_batch(round));
+    }
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.total_requests(), 2 * 30 * ROUTED_PCS, "nothing lost");
+    assert!(stats.shards[PRIMARIES].requests > 0, "the replica took over");
+    assert_eq!(
+        stats.shards[0].requests, before.shards[0].requests,
+        "the shut-down primary serves nothing more"
+    );
+    let replica = Client::connect(cluster.nodes.last().expect("replica"))
+        .expect("connect replica")
+        .stats()
+        .expect("replica stats");
+    assert_eq!(replica.total_requests(), stats.shards[PRIMARIES].requests);
+    let (served, _) = cluster.shutdown();
+    assert_eq!(served, 2 * 30 * ROUTED_PCS);
+}
+
+/// Snapshot and Restore are per-node operations: the router answers each
+/// with an `Error`, and the connection stays in sync for the next request.
+#[test]
+fn router_rejects_snapshot_and_restore() {
+    let cluster = spawn_cluster(2);
+    let mut client = Client::connect(&cluster.router).expect("connect router");
+    predict_and_train(&mut client, &routed_batch(0));
+    for req in [wire::Request::Snapshot, wire::Request::Restore(vec![1, 2, 3])] {
+        match client.request(&req).expect("answered") {
+            Response::Error(msg) => assert!(msg.contains("per-node"), "unhelpful error: {msg}"),
+            other => panic!("expected Error for {req:?}, got {other:?}"),
+        }
+    }
+    predict_and_train(&mut client, &routed_batch(1));
+    cluster.shutdown();
+}
+
+/// Frames pipelined on one router connection — predicts of different
+/// sizes interleaved with requests the router answers itself — come back
+/// in request order.
+#[test]
+fn router_answers_pipelined_frames_in_order() {
+    let cluster = spawn_cluster(2);
+    let mut client = Client::connect(&cluster.router).expect("connect router");
+    let sizes = [1usize, 7, 64, 3, 96];
+    let mut expect = Vec::new();
+    for (k, &n) in sizes.iter().enumerate() {
+        let items = routed_batch(k as u64)[..n].to_vec();
+        client.send(&wire::Request::Predict(items)).expect("send");
+        expect.push(Some(n));
+        if k % 2 == 0 {
+            client.send(&wire::Request::Stats).expect("send");
+            expect.push(None);
+        }
+    }
+    for want in expect {
+        match (want, client.recv(if want.is_some() { Opcode::Predict } else { Opcode::Stats })) {
+            (Some(n), Ok(Response::Predict(replies))) => assert_eq!(replies.len(), n),
+            (None, Ok(Response::Stats(report))) => assert_eq!(report.shards.len(), 3),
+            (want, got) => panic!("expected {want:?} next, got {got:?}"),
+        }
+    }
+    cluster.shutdown();
+}
+
+/// Without a replica, a request touching a dead node's slice is refused
+/// as a whole (`Error`, no partial answer), while requests owned only by
+/// the surviving node keep being served on the same connection.
+#[test]
+fn router_without_a_replica_refuses_a_dead_nodes_slice() {
+    const PRIMARIES: usize = 2;
+    let (nodes, mut handles): (Vec<_>, Vec<_>) = (0..PRIMARIES).map(|_| spawn_server(2)).unzip();
+    let cfg = RouterConfig {
+        nodes: nodes.clone(),
+        health_interval: Duration::from_millis(50),
+        ..RouterConfig::default()
+    };
+    let (addr, router_handle) = router::bind(&cfg).expect("bind router").spawn();
+    let mut client = Client::connect(addr).expect("connect router");
+    predict_and_train(&mut client, &routed_batch(0));
+
+    Client::connect(&nodes[0])
+        .expect("connect primary 0")
+        .shutdown()
+        .expect("primary 0 shutdown");
+    join_within(handles.remove(0), "primary 0");
+    let owned_by = |node: usize| -> Vec<PredictItem> {
+        routed_batch(1)
+            .into_iter()
+            .filter(|it| index_of(it.pc, PRIMARIES, NODE_HASH_MUL) == node)
+            .collect()
+    };
+    for _ in 0..3 {
+        match client.request(&wire::Request::Predict(routed_batch(1))).expect("answered") {
+            Response::Error(msg) => assert!(msg.contains("no --replica"), "unhelpful error: {msg}"),
+            other => panic!("expected a whole-request Error, got {other:?}"),
+        }
+        predict_and_train(&mut client, &owned_by(1));
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.shards.len(), PRIMARIES + 1, "the replica entry stays, idle");
+    assert_eq!(stats.shards[PRIMARIES].requests, 0);
+
+    client.shutdown().expect("router shutdown");
+    join_within(router_handle, "router");
+    join_within(handles.remove(0), "primary 1");
 }
