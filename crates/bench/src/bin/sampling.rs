@@ -21,7 +21,7 @@
 //! # What the speedup measures
 //!
 //! Sampling splits into *prep* (fingerprint + cluster the trace, then one
-//! sequential functional warm pass that checkpoints architectural state at
+//! functional warm pass that checkpoints architectural state at
 //! each representative's window) and *measurement* (simulate the
 //! representative windows in detail, project). Prep is a pure function of
 //! `(trace, predictor, core, config)`; the harness caches it

@@ -130,7 +130,7 @@ impl TraceCache {
 ///
 /// Keyed by the full profile (not just its name), so ad-hoc profiles with
 /// colliding names stay distinct. The cache is a bounded LRU
-/// ([`TRACE_CACHE_MAX_ENTRIES`] entries, [`TRACE_CACHE_MAX_UOPS`] total
+/// (`TRACE_CACHE_MAX_ENTRIES` entries, `TRACE_CACHE_MAX_UOPS` total
 /// requested uops): least-recently-used traces are dropped once either
 /// bound is exceeded, so long-lived processes sweeping many long traces
 /// don't accumulate every trace they ever touched.
@@ -149,8 +149,8 @@ const PREP_CACHE_MAX_ENTRIES: usize = 6;
 /// The reusable half of a sampled run for one `(trace, predictor, core,
 /// config)` cell: the cluster plan and the per-cluster functional warm-up
 /// checkpoints. Building this walks the trace twice (fingerprinting, then
-/// the sequential architectural warm pass); measuring with it simulates
-/// only `clusters × (warmup + interval)` uops.
+/// the architectural warm pass, one lane per warmed structure); measuring
+/// with it simulates only `clusters × (warmup + interval)` uops.
 #[derive(Debug)]
 pub struct SamplingPrep {
     /// The clustering decision (predictor-independent).
@@ -162,7 +162,7 @@ pub struct SamplingPrep {
 type PrepKey = (WorkloadProfile, u64, usize, PredictorKind, CoreConfig, SamplingConfig);
 
 /// Returns the sampling prep for a cell, building it at most once while it
-/// stays cached (a [`PREP_CACHE_MAX_ENTRIES`]-entry LRU of the same kind as
+/// stays cached (a `PREP_CACHE_MAX_ENTRIES`-entry LRU of the same kind as
 /// [`cached_trace`]'s). This is what makes sampled *sweeps* fast: the plan
 /// and warm checkpoints are a per-trace/per-predictor investment — itself
 /// several times cheaper than one full simulation — after which every
@@ -409,10 +409,11 @@ pub struct SampledRunResult {
     pub simulated_uops: u64,
     /// Uops the projection stands in for (the full trace).
     pub represented_uops: u64,
-    /// Wall-clock spent building this cell's [`SamplingPrep`] (fingerprint
-    /// + clustering + the sequential functional warm pass) — `0.0` when
-    /// the prep cache already held it. Amortised across every sampled run
-    /// of the same cell, the SimPoint checkpoint economics.
+    /// Wall-clock spent building this cell's [`SamplingPrep`]
+    /// (fingerprinting, clustering, and the functional warm pass run as
+    /// one lane per warmed structure) — `0.0` when the prep cache already
+    /// held it. Amortised across every sampled run of the same cell, the
+    /// SimPoint checkpoint economics.
     pub prep_wall_ms: f64,
 }
 

@@ -64,7 +64,7 @@ impl BranchEvent {
 }
 
 /// A bounded log of the most recent branch events, most recent last.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalHistory {
     events: VecDeque<BranchEvent>,
     capacity: usize,
@@ -290,7 +290,7 @@ const MAX_UNDO: usize = 16;
 /// redirect, which stalls the frontend the moment it dispatches). Folding
 /// is invertible, so those cases undo one push per popped event per fold —
 /// O(popped × tables) — instead of refolding every window — O(tables ×
-/// window). Replacements that pop more than [`MAX_UNDO`] events, or that
+/// window). Replacements that pop more than `MAX_UNDO` (16) events, or that
 /// do not match a bounded undo exactly, fall back to the full recompute.
 pub fn rewind_hashers(
     history: &mut GlobalHistory,
@@ -484,7 +484,7 @@ impl FoldedHistory {
 /// Produces the set index and tag for one tagged table given a load PC, per
 /// §IV-B ("the index and tag are computed by folding the load PC and
 /// increasing lengths of the global branch and path history").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableHasher {
     history_len: u32,
     index_bits: u32,

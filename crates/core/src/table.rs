@@ -39,7 +39,7 @@ pub const INVALID_TAG: u64 = u64::MAX;
 /// t.try_insert(3, 0x7, 9, |_| false).unwrap();
 /// assert_eq!(*t.find(3, 0x7).unwrap().1, 9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssocTable<P> {
     sets: usize,
     assoc: usize,

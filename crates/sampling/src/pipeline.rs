@@ -81,7 +81,7 @@ pub struct SampledOutcome {
     pub plan: ClusterPlan,
     /// Uops simulated in detail (detailed warm-ups included).
     pub simulated_uops: u64,
-    /// Uops replayed by the sequential functional warm-up pass
+    /// Uops of trace prefix the functional warm-up pass replayed
     /// (architectural only, several times cheaper per uop than
     /// `simulated_uops`, and amortisable across runs via [`WarmSet`]).
     pub warmed_uops: u64,
@@ -102,10 +102,7 @@ pub struct SampledOutcome {
 pub fn plan(trace: &Trace, cfg: &SamplingConfig) -> ClusterPlan {
     assert!(trace.len() > 0, "cannot sample an empty trace");
     let intervals = intervals(trace.len(), cfg.interval_uops);
-    let points: Vec<_> = intervals
-        .iter()
-        .map(|r| fingerprint(&trace.uops[r.clone()]))
-        .collect();
+    let points = parallel_map(&intervals, |_, r| fingerprint(&trace.uops[r.clone()]));
 
     let (raw_assignments, centroids) = if cfg.clusters >= points.len() {
         // Identity clustering: skip k-means entirely so the degenerate
@@ -181,8 +178,8 @@ pub fn project(plan: &ClusterPlan, measurements: &[SimStats], measured_uops: &[u
 
 /// Per-cluster functional warm-up checkpoints for one `(trace, plan,
 /// predictor, core)` combination — the expensive, reusable half of a
-/// sampled run. Built by [`warm_checkpoints`] in **one** sequential
-/// architectural pass over the trace prefix, frozen at each
+/// sampled run. Built by [`warm_checkpoints`] in **one** architectural
+/// pass over the trace prefix (one lane per structure), frozen at each
 /// representative's warm-up boundary; consumed (by cloning) every time
 /// [`run_sampled_with`] measures the windows. Callers that sweep many
 /// configurations over the same trace build this once and amortise it —
@@ -193,7 +190,7 @@ pub struct WarmSet {
     /// holding the architectural state of a full replay of the trace up to
     /// that cluster's representative warm-up boundary.
     pub checkpoints: Vec<FunctionalWarmer<AnyPredictor>>,
-    /// Uops the sequential pass replayed (the furthest boundary).
+    /// Uops the warm-up pass replayed (the furthest boundary).
     pub warmed_uops: u64,
 }
 
@@ -210,14 +207,14 @@ fn window_ranges(plan: &ClusterPlan, cfg: &SamplingConfig) -> Vec<(Range<usize>,
         .collect()
 }
 
-/// Builds the [`WarmSet`] for a plan: walks the trace **once**, replaying
-/// it architecturally (caches, prefetcher, branch predictor,
-/// memory-dependence predictor — no timing) through a
-/// [`FunctionalWarmer`], and clones the warmer at every representative's
-/// warm-up boundary. Each checkpoint is bit-identical to an independent
-/// functional replay of the whole prefix before its window — replay is
-/// deterministic and history-only — so windows measure against
-/// full-prefix state while the warm cost stays O(trace), not
+/// Builds the [`WarmSet`] for a plan with
+/// [`FunctionalWarmer::checkpoints`]: one architectural pass over the
+/// trace prefix (caches, prefetcher, branch predictor, memory-dependence
+/// predictor — no timing), run as one lane per structure, frozen at every
+/// representative's warm-up boundary. Each checkpoint is bit-identical to
+/// an independent functional replay of the whole prefix before its window
+/// — replay is deterministic and history-only — so windows measure
+/// against full-prefix state while the warm cost stays O(trace), not
 /// O(clusters × trace).
 pub fn warm_checkpoints(
     trace: &Trace,
@@ -226,28 +223,22 @@ pub fn warm_checkpoints(
     core: &CoreConfig,
     cfg: &SamplingConfig,
 ) -> WarmSet {
-    let mut boundaries: Vec<(usize, usize)> = window_ranges(plan, cfg)
-        .iter()
-        .enumerate()
-        .map(|(ci, (range, _))| (ci, range.start))
-        .collect();
-    boundaries.sort_by_key(|&(_, start)| start);
-
-    let mut warmer = FunctionalWarmer::new(core, kind.build());
+    let windows = window_ranges(plan, cfg);
+    let mut order: Vec<usize> = (0..windows.len()).collect();
+    order.sort_by_key(|&ci| windows[ci].0.start);
+    let boundaries: Vec<usize> = order.iter().map(|&ci| windows[ci].0.start).collect();
+    let warmers = FunctionalWarmer::checkpoints(core, kind.build(), &trace.uops, &boundaries);
     let mut checkpoints: Vec<Option<FunctionalWarmer<AnyPredictor>>> =
-        (0..plan.clusters.len()).map(|_| None).collect();
-    let mut cursor = 0usize;
-    for (ci, start) in boundaries {
-        warmer.replay(&trace.uops[cursor..start]);
-        cursor = start;
-        checkpoints[ci] = Some(warmer.clone());
+        (0..windows.len()).map(|_| None).collect();
+    for (ci, warmer) in order.into_iter().zip(warmers) {
+        checkpoints[ci] = Some(warmer);
     }
     WarmSet {
         checkpoints: checkpoints
             .into_iter()
             .map(|c| c.expect("every cluster checkpointed"))
             .collect(),
-        warmed_uops: cursor as u64,
+        warmed_uops: boundaries.last().map_or(0, |&b| b as u64),
     }
 }
 
@@ -433,6 +424,30 @@ mod tests {
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.projected, b.projected);
         assert_eq!(a.simulated_uops, b.simulated_uops);
+    }
+
+    // Each cluster gets the checkpoint of its own window, whatever order
+    // the representatives fall in along the trace: it matches an
+    // independent replay of exactly the prefix before that window.
+    #[test]
+    fn checkpoints_land_on_their_clusters_windows() {
+        let t = trace("xalancbmk", 16_000);
+        let core = CoreConfig::golden_cove();
+        let cfg = small_cfg();
+        let p = plan(&t, &cfg);
+        let warm = warm_checkpoints(&t, &p, PredictorKind::StoreSets, &core, &cfg);
+        let windows = window_ranges(&p, &cfg);
+        for (warmer, (range, _)) in warm.checkpoints.iter().zip(&windows) {
+            assert_eq!(warmer.warmed_uops(), range.start as u64);
+            let mut alone = FunctionalWarmer::new(&core, PredictorKind::StoreSets.build());
+            alone.replay(&t.uops[..range.start]);
+            assert_eq!(
+                warmer.predictor().snapshot_bytes(),
+                alone.predictor().snapshot_bytes()
+            );
+        }
+        let furthest = windows.iter().map(|(r, _)| r.start).max().unwrap();
+        assert_eq!(warm.warmed_uops, furthest as u64);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 /// Spawns `min(available_parallelism, items.len())` workers (at least
 /// one); on a single-core host this degrades to an in-order sequential
 /// loop with no thread overhead beyond the one spawn. A panic in any job
-/// propagates out of the scope and unwinds the caller.
+/// unwinds the caller with that job's payload.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -35,13 +35,25 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let out = f(i, item);
+                    *slots[i].lock().expect("result slot poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Join each worker explicitly. The scope's own join returns once
+        // the closures finish, before the threads have exited and handed
+        // their malloc arenas back, so threads spawned right afterwards
+        // (the next pool, or sim's warm-up lanes) would open new arenas,
+        // each keeping its freed memory resident.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -87,11 +99,9 @@ mod tests {
         assert_eq!(out.len(), 257);
     }
 
-    // `std::thread::scope` repackages a worker panic as its own, so the
-    // observable message is the scope's, not the job's — what matters is
-    // that the caller unwinds at all instead of losing the result.
+    // The job's own panic reaches the caller, not a generic one.
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "job failed")]
     fn job_panics_propagate() {
         let items = vec![0u64, 1, 2];
         let _ = parallel_map(&items, |_, &x| {

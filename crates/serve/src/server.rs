@@ -6,7 +6,7 @@
 //!
 //! One thread owns the listener and all connections. Each readable event
 //! pulls at most [`READ_CHUNK`] bytes into the connection's
-//! [`RecvBuf`], parses every complete frame it holds, and scatters the
+//! [`RecvBuf`](crate::conn::RecvBuf), parses every complete frame it holds, and scatters the
 //! batch over the owning shards; sub-replies come back on an unbounded
 //! channel paired with an `eventfd` waker, are reassembled in a gather
 //! slab, and are written out strictly in request order (pipelining:
@@ -34,7 +34,8 @@
 //!
 //! Shutdown drains: the `Shutdown` response is flushed, the listener is
 //! deregistered, idle connections close immediately, and connections with
-//! responses still owed get [`DRAIN_GRACE`] to take delivery.
+//! responses still owed get a grace period (`DRAIN_GRACE`, 5 s) to take
+//! delivery.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};

@@ -43,7 +43,7 @@ impl Default for BranchPredictorConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct TageEntry {
     /// 3-bit direction counter; taken when >= 4.
     ctr: SaturatingCounter,
@@ -52,7 +52,7 @@ struct TageEntry {
 }
 
 /// A TAGE branch-direction predictor with an indirect-target side table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagePredictor {
     bimodal: Vec<SaturatingCounter>,
     tables: Vec<AssocTable<TageEntry>>,

@@ -23,7 +23,7 @@ pub struct CacheStats {
 }
 
 /// One cache level: a tag array with per-set LRU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLevel {
     cfg: CacheConfig,
     sets: u64,
@@ -132,7 +132,7 @@ struct Mshr {
 }
 
 /// IP-stride prefetcher state for one load PC.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StrideEntry {
     pc: u64,
     last_addr: u64,
@@ -141,7 +141,7 @@ struct StrideEntry {
 }
 
 /// The full data/instruction hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     /// L1 instruction cache.
     pub l1i: CacheLevel,

@@ -241,7 +241,8 @@ impl ReadyMask {
         // One lap around the circular window: the start word's upper bits,
         // the following words, then the start word's lower (wrapped) bits.
         for step in 0..=nw {
-            let wi = (sw + step) % nw;
+            // `nw` and `cap` are powers of two: wrap with masks, not divides.
+            let wi = (sw + step) & (nw - 1);
             let mut w = self.words[wi];
             if step == 0 {
                 w &= !0u64 << sb;
@@ -253,7 +254,7 @@ impl ReadyMask {
             }
             while w != 0 {
                 let b = wi * 64 + w.trailing_zeros() as usize;
-                out.push(front + ((b + cap - start) % cap) as u64);
+                out.push(front + ((b + cap - start) & (cap - 1)) as u64);
                 taken += 1;
                 if taken == k {
                     return;
@@ -655,13 +656,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     /// the prefix.
     pub fn warm_functional(&mut self, uops: &[Uop]) {
         assert_eq!(self.now, 0, "functional warm-up must precede the run");
-        warm_replay(
-            &mut self.mem,
-            &mut self.bp,
-            self.pred,
-            &mut self.store_seq_next,
-            uops,
-        );
+        warm_caches(&mut self.mem, uops);
+        warm_branches(&mut self.bp, uops);
+        warm_predictor(self.pred, &mut self.store_seq_next, uops);
     }
 
     /// Adopts a [`FunctionalWarmer`]'s architectural state: cache
@@ -2066,25 +2063,61 @@ fn observed_outcome(d: &crate::uop::TraceDep) -> LoadOutcome {
     }
 }
 
-/// The shared functional-replay loop behind [`Simulator::warm_functional`]
-/// and [`FunctionalWarmer::replay`]: drives every stateful structure a
-/// detailed run would train — cache hierarchy (demand lines *and* the
-/// stride prefetcher), branch predictor, memory-dependence predictor,
-/// store-sequence counter — with no timing machinery at all.
-fn warm_replay<P: MemDepPredictor>(
-    mem: &mut Hierarchy,
-    bp: &mut TagePredictor,
-    pred: &mut P,
-    store_seq_next: &mut u64,
-    uops: &[Uop],
-) {
+/// Functional replay of the cache hierarchy: instruction lines, demand data
+/// lines and the stride prefetcher, in architectural reference order.
+///
+/// This and the two lanes below are what [`Simulator::warm_functional`],
+/// [`FunctionalWarmer::replay`] and [`FunctionalWarmer::checkpoints`] drive.
+/// Each touches one structure and nothing else, so running them one after
+/// another over a segment, or side by side on separate threads, leaves
+/// bit-identical state to interleaving them uop by uop.
+fn warm_caches(mem: &mut Hierarchy, uops: &[Uop]) {
     for uop in uops {
         mem.warm_inst(uop.pc);
         match uop.kind {
-            UopKind::Alu => {}
-            UopKind::Load { addr, dep, .. } => {
+            UopKind::Load { addr, .. } => {
                 mem.warm_data(addr);
                 mem.warm_prefetch(uop.pc, addr);
+            }
+            UopKind::Store { addr, .. } => mem.warm_data(addr),
+            UopKind::Alu | UopKind::Branch { .. } => {}
+        }
+    }
+}
+
+/// Functional replay of the frontend branch predictor: trains every branch
+/// on its actual outcome and pushes it into the TAGE global history.
+fn warm_branches(bp: &mut TagePredictor, uops: &[Uop]) {
+    for uop in uops {
+        if let UopKind::Branch {
+            kind,
+            taken,
+            target,
+        } = uop.kind
+        {
+            let _ = match kind {
+                BranchKind::Conditional => bp.predict_and_train(uop.pc, taken),
+                BranchKind::Indirect => bp.predict_indirect_and_train(uop.pc, target),
+            };
+            bp.on_branch(&BranchEvent {
+                pc: uop.pc,
+                kind,
+                taken,
+                target,
+            });
+        }
+    }
+}
+
+/// Functional replay of the memory-dependence predictor: every load is
+/// predicted and trained against the trace's ground-truth dependence,
+/// every store is dispatched under the next store sequence number
+/// (advancing `store_seq_next`), and every branch reaches its history.
+fn warm_predictor<P: MemDepPredictor>(pred: &mut P, store_seq_next: &mut u64, uops: &[Uop]) {
+    for uop in uops {
+        match uop.kind {
+            UopKind::Alu => {}
+            UopKind::Load { dep, .. } => {
                 let oracle = dep.and_then(|d| {
                     Some(GroundTruth {
                         distance: StoreDistance::new(d.distance)?,
@@ -2097,8 +2130,7 @@ fn warm_replay<P: MemDepPredictor>(
                     .map_or_else(LoadOutcome::independent, observed_outcome);
                 pred.train(uop.pc, meta, prediction, &outcome);
             }
-            UopKind::Store { addr, .. } => {
-                mem.warm_data(addr);
+            UopKind::Store { .. } => {
                 let store_seq = *store_seq_next;
                 *store_seq_next += 1;
                 let _ = pred.predict_store_wait(uop.pc, store_seq);
@@ -2108,20 +2140,12 @@ fn warm_replay<P: MemDepPredictor>(
                 kind,
                 taken,
                 target,
-            } => {
-                let _ = match kind {
-                    BranchKind::Conditional => bp.predict_and_train(uop.pc, taken),
-                    BranchKind::Indirect => bp.predict_indirect_and_train(uop.pc, target),
-                };
-                let ev = BranchEvent {
-                    pc: uop.pc,
-                    kind,
-                    taken,
-                    target,
-                };
-                bp.on_branch(&ev);
-                pred.on_branch(&ev);
-            }
+            } => pred.on_branch(&BranchEvent {
+                pc: uop.pc,
+                kind,
+                taken,
+                target,
+            }),
         }
     }
 }
@@ -2132,14 +2156,14 @@ fn warm_replay<P: MemDepPredictor>(
 /// replays trace uops through it with no timing simulation.
 ///
 /// Unlike warming inside a `Simulator`, a warmer is **checkpointable**:
-/// because it is `Clone` (for `P: Clone`), one sequential pass over a trace
-/// can be frozen at each sampled window's warm-up boundary, and each frozen
-/// clone seeds that window's detailed simulator via
-/// [`Simulator::seed_from_warmer`]. The state a clone holds at commit
+/// [`checkpoints`](Self::checkpoints) walks a trace once and returns a
+/// warmer frozen at each sampled window's warm-up boundary, and each one
+/// seeds that window's detailed simulator via
+/// [`Simulator::seed_from_warmer`]. The state a checkpoint holds at
 /// boundary `b` is bit-identical to an independent functional replay of
 /// `trace[..b]` — replay is deterministic and history-only — so sampled
-/// windows see full-prefix warm state while the pass walks the trace only
-/// once (DESIGN.md §13).
+/// windows see full-prefix warm state while the trace is walked only once
+/// (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct FunctionalWarmer<P> {
     mem: Hierarchy,
@@ -2165,13 +2189,9 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
     /// Architecturally replays `uops`, continuing from wherever the warmer
     /// already is (callers feed consecutive trace segments).
     pub fn replay(&mut self, uops: &[Uop]) {
-        warm_replay(
-            &mut self.mem,
-            &mut self.bp,
-            &mut self.pred,
-            &mut self.store_seq_next,
-            uops,
-        );
+        warm_caches(&mut self.mem, uops);
+        warm_branches(&mut self.bp, uops);
+        warm_predictor(&mut self.pred, &mut self.store_seq_next, uops);
         self.warmed += uops.len() as u64;
     }
 
@@ -2184,6 +2204,68 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
     /// Total uops replayed through this warmer.
     pub fn warmed_uops(&self) -> u64 {
         self.warmed
+    }
+}
+
+impl<P: MemDepPredictor + Clone> FunctionalWarmer<P> {
+    /// Warms a cold core (configuration `cfg`, memory-dependence predictor
+    /// `pred`) over `uops` in one pass and returns one warmer per entry of
+    /// `boundaries`: element `i` equals a cold warmer that
+    /// [`replay`](Self::replay)ed `uops[..boundaries[i]]`.
+    ///
+    /// The three structures share no state, so each segment between two
+    /// boundaries is replayed as three lanes at once: the cache hierarchy
+    /// and the branch predictor on scoped threads, the memory-dependence
+    /// predictor (with the store-sequence counter) on the calling thread,
+    /// so `P` need not be `Send`. At each boundary the calling thread
+    /// clones all three: clones made on the short-lived lane threads would
+    /// land in extra malloc arenas and raise peak RSS. The result is
+    /// independent of thread scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundaries` is not non-decreasing or runs past
+    /// `uops.len()`.
+    pub fn checkpoints(cfg: &CoreConfig, pred: P, uops: &[Uop], boundaries: &[usize]) -> Vec<Self> {
+        assert!(
+            boundaries.windows(2).all(|w| w[0] <= w[1]),
+            "checkpoint boundaries must be non-decreasing"
+        );
+        assert!(
+            boundaries.last().is_none_or(|&b| b <= uops.len()),
+            "checkpoint boundary past the end of the trace"
+        );
+        let mut warmer = Self::new(cfg, pred);
+        boundaries
+            .iter()
+            .map(|&b| {
+                let seg = &uops[warmer.warmed as usize..b];
+                let Self {
+                    mem,
+                    bp,
+                    pred,
+                    store_seq_next,
+                    warmed,
+                } = &mut warmer;
+                std::thread::scope(|scope| {
+                    let lanes = [
+                        scope.spawn(|| warm_caches(mem, seg)),
+                        scope.spawn(|| warm_branches(bp, seg)),
+                    ];
+                    warm_predictor(pred, store_seq_next, seg);
+                    // Joined explicitly: the scope's own join returns
+                    // before the threads exit and release their malloc
+                    // arenas, so the next segment's lanes would open more.
+                    for lane in lanes {
+                        if let Err(panic) = lane.join() {
+                            std::panic::resume_unwind(panic);
+                        }
+                    }
+                });
+                *warmed = b as u64;
+                warmer.clone()
+            })
+            .collect()
     }
 }
 
@@ -2950,5 +3032,82 @@ mod tests {
             p.0,
             stats.cycles
         );
+    }
+
+    /// A mixed trace for the functional-warm-up tests: loads (with and
+    /// without ground-truth dependences of every class), stores,
+    /// conditional and indirect branches and ALU ops over a small PC and
+    /// address set, so every warmed structure sees hits, misses and
+    /// allocations.
+    fn mixed_trace(n: usize) -> Trace {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let uops = (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = 0x4000 + (i as u64 % 97) * 4;
+                let addr = 0x10_0000 + (x >> 8) % 4096 * 8 + (i as u64 / 512) * 0x8000;
+                match x % 8 {
+                    0 | 1 => Uop::alu(pc, [None, None], Some(1), 1),
+                    2 | 3 => Uop::store(pc, addr, 8, None, Some(1)),
+                    4 | 5 => {
+                        let dep = !(x >> 20).is_multiple_of(3);
+                        let dep = dep.then(|| TraceDep {
+                            distance: 1 + (x >> 24) as u32 % 12,
+                            class: BypassClass::ALL[(x >> 32) as usize % 4],
+                            store_pc: 0x4000 + (x >> 40) % 97 * 4,
+                            branches_between: (x >> 48) as u32 % 4,
+                        });
+                        Uop::load(pc, addr, 8, None, 2, dep)
+                    }
+                    6 => Uop::branch(pc, (x >> 20) & 3 != 0, pc + 64, None),
+                    _ => Uop::indirect_branch(pc, 0x8000 + (x >> 20) % 4 * 64, None),
+                }
+            })
+            .collect();
+        Trace::new("mixed", uops)
+    }
+
+    /// The lanes of `FunctionalWarmer::checkpoints` freeze, at every
+    /// boundary (0, repeats and the trace end included), exactly the state
+    /// a sequential `replay` of the same prefix reaches: structure by
+    /// structure, and as seen by a simulator seeded from the checkpoint.
+    #[test]
+    fn lane_checkpoints_equal_sequential_replay() {
+        use mascot_predictors::{AnyPredictor, PredictorKind};
+
+        let trace = mixed_trace(24_000);
+        let window = Trace::new("window", trace.uops[..3_000].to_vec());
+        let cfg = golden();
+        let boundaries = [0, 0, 1, 4_999, 5_000, 17_321, 24_000];
+        for kind in [PredictorKind::Mascot, PredictorKind::StoreSets] {
+            let lanes = FunctionalWarmer::checkpoints(&cfg, kind.build(), &trace.uops, &boundaries);
+            assert_eq!(lanes.len(), boundaries.len());
+            let mut seq = FunctionalWarmer::new(&cfg, kind.build());
+            let mut cursor = 0;
+            for (lane, &b) in lanes.iter().zip(&boundaries) {
+                seq.replay(&trace.uops[cursor..b]);
+                cursor = b;
+                let what = format!("{} at boundary {b}", kind.label());
+                assert!(lane.mem == seq.mem, "{what}: cache hierarchy differs");
+                assert!(lane.bp == seq.bp, "{what}: branch predictor differs");
+                assert_eq!(lane.store_seq_next, seq.store_seq_next, "{what}");
+                assert_eq!(lane.warmed, b as u64, "{what}");
+                assert_eq!(lane.warmed, seq.warmed, "{what}");
+                assert_eq!(
+                    lane.pred.snapshot_bytes(),
+                    seq.pred.snapshot_bytes(),
+                    "{what}: predictor tables differ"
+                );
+                let seeded = |warmer: &FunctionalWarmer<AnyPredictor>| {
+                    let mut pred = warmer.predictor().clone();
+                    let mut sim = Simulator::new(&window, &cfg, &mut pred);
+                    sim.seed_from_warmer(warmer);
+                    sim.run()
+                };
+                assert_eq!(seeded(lane), seeded(&seq), "{what}: seeded run differs");
+            }
+        }
     }
 }

@@ -5,6 +5,7 @@
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
 # Fails if the build (warnings are errors) or any workspace test fails, if
+# the workspace rustdoc warns (a broken or ambiguous intra-doc link), if
 # the reduced-length evaluation output (full or --sampled) drifts from the
 # committed experiments_output_12k.txt / experiments_output_12k_sampled.txt,
 # if the seeded audit soak (cycle-granular
@@ -77,6 +78,9 @@ echo "== tier-1: tests (whole workspace) =="
 # --workspace: a bare `cargo test` runs only the root package's tests, not
 # the member crates' (sampling properties, wire boundaries, metrics...).
 cargo test -q ${CARGO_FLAGS} --workspace
+
+echo "== rustdoc gate (doc warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS}
 
 echo "== drift gate (evaluation output vs experiments_output_12k.txt) =="
 # The whole paper evaluation at a 12k-uop trace length, in one process
